@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 
 import numpy as np
@@ -471,19 +472,6 @@ def _print_outcomes(outcomes) -> None:
             print(f"[{outcome.request_id}] {outcome.status}: {detail}")
 
 
-def _install_hup_reload(enabled: bool) -> dict:
-    """Latch SIGHUP into a flag the serve loop polls between submissions."""
-    import signal as signal_module
-
-    flag = {"pending": False}
-    if enabled and hasattr(signal_module, "SIGHUP"):
-        def _hup(signum, frame):  # noqa: ARG001 - signal handler signature
-            flag["pending"] = True
-
-        signal_module.signal(signal_module.SIGHUP, _hup)
-    return flag
-
-
 def _cmd_serve(args) -> int:
     import json
 
@@ -509,7 +497,9 @@ def _cmd_serve(args) -> int:
     # Signal handlers go in before the (possibly blocking) input read: a
     # SIGTERM or SIGHUP while waiting on a pipe must latch, not kill.
     drain_guard = DrainGuard().install()
-    reload_flag = _install_hup_reload(args.reload_on_hup)
+    # SIGHUP latches a weight reload that the serve loop runs between submissions.
+    hup = [signal.SIGHUP] if args.reload_on_hup and hasattr(signal, "SIGHUP") else []
+    reload_guard = DrainGuard(signals=hup).install()
     if args.input:
         with open(args.input, encoding="utf-8") as handle:
             lines = [line.strip() for line in handle if line.strip()]
@@ -546,8 +536,8 @@ def _cmd_serve(args) -> int:
         try:
             outcomes = []
             for index, line in enumerate(lines):
-                if reload_flag["pending"]:
-                    reload_flag["pending"] = False
+                if reload_guard.signum is not None:
+                    reload_guard.signum = None
                     fingerprint = pool.reload_weights(args.bundle)
                     print(f"[serve] reloaded weights → {fingerprint[:16]}…", file=sys.stderr)
                 if drain_guard.draining:
@@ -567,6 +557,7 @@ def _cmd_serve(args) -> int:
         finally:
             pool.shutdown()
             drain_guard.restore()
+            reload_guard.restore()
             if telemetry is not None:
                 telemetry.close()
         return 0
@@ -600,8 +591,8 @@ def _cmd_serve(args) -> int:
     try:
         outcomes = []
         for index, line in enumerate(lines):
-            if reload_flag["pending"]:
-                reload_flag["pending"] = False
+            if reload_guard.signum is not None:
+                reload_guard.signum = None
                 from repro.training.checkpoint import load_checkpoint
 
                 load_checkpoint(os.path.join(args.bundle, "model"), bundle.model)
@@ -632,6 +623,7 @@ def _cmd_serve(args) -> int:
         print(json.dumps(service.report(), indent=2), file=sys.stderr)
     finally:
         drain_guard.restore()
+        reload_guard.restore()
         if telemetry is not None:
             telemetry.close()
     return 0

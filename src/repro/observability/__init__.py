@@ -24,7 +24,6 @@ from repro.observability.monitors import (
     ThroughputMeter,
     emit_gate_statistics,
     emit_state_transition,
-    emit_worker_pool,
     gate_statistics,
     nonfinite_sentinel,
     param_norm,
@@ -59,7 +58,6 @@ __all__ = [
     "param_norm",
     "process_rss_bytes",
     "scaling_efficiency",
-    "emit_worker_pool",
     "SchemaViolation",
     "read_trace",
     "validate_line",

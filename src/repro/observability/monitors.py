@@ -34,7 +34,6 @@ __all__ = [
     "emit_state_transition",
     "scaling_efficiency",
     "process_rss_bytes",
-    "emit_worker_pool",
     "ThroughputMeter",
 ]
 
@@ -158,36 +157,6 @@ def process_rss_bytes() -> int:
         return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024
     except (ImportError, OSError, ValueError):  # pragma: no cover - exotic platform
         return 0
-
-
-def emit_worker_pool(
-    telemetry: Telemetry,
-    prefix: str,
-    heartbeat_ages: dict[int, float],
-    world_size: int,
-    efficiency: float | None = None,
-    rss_bytes: dict[int, float] | None = None,
-    step: int | None = None,
-) -> None:
-    """Gauge the elastic pool's health: membership, per-worker heartbeats.
-
-    ``heartbeat_ages`` maps live worker rank → seconds since its last
-    heartbeat; the supervisor calls this every step so a stalling worker is
-    visible in the trace *before* its timeout fires. ``rss_bytes`` maps
-    rank → resident-set size (workers sample :func:`process_rss_bytes` with
-    each heartbeat), gauged as ``<prefix>.worker<rank>.rss_mb`` — the
-    observable form of the shard store's no-materialization claim.
-    """
-    telemetry.gauge(f"{prefix}.world_size", float(world_size), step=step)
-    for rank, age in sorted(heartbeat_ages.items()):
-        telemetry.gauge(f"{prefix}.worker{rank}.heartbeat_age", float(age), step=step)
-    if rss_bytes:
-        for rank, rss in sorted(rss_bytes.items()):
-            telemetry.gauge(
-                f"{prefix}.worker{rank}.rss_mb", float(rss) / 1048576.0, step=step
-            )
-    if efficiency is not None:
-        telemetry.gauge(f"{prefix}.scaling_efficiency", float(efficiency), step=step)
 
 
 class ThroughputMeter:

@@ -10,31 +10,28 @@ shard-store mmap). The coordinator owns admission, the request ledger,
 telemetry, and the lifecycle; workers own nothing but a pipe and a
 frontier.
 
-Supervision state machine (per worker, mirroring the elastic trainer)::
-
-    SPAWNED ── heartbeat ──▶ LIVE ──┬─ death/stall ─▶ BACKOFF
-                                    │  (budget left)     │
-                                    │               spawn after
-                                    │             backoff * 2^k
-                                    └─ budget exhausted ─▶ RETIRED
-    all RETIRED ──▶ coordinator decodes inline (degrade, don't refuse)
-
-Three robustness contracts layered on top:
+Worker supervision (fork, heartbeats, restart with backoff, retirement,
+orphan-free shutdown, signals) is :mod:`repro.runtime.supervisor`'s, state
+machine included. This module keeps the serving protocol — ``serve`` out,
+``result`` back, and the ``reload_*`` handshake — and its recovery policy;
+with every rank retired the coordinator decodes inline (degrade, don't
+refuse). Three robustness contracts:
 
 - **Exactly-once re-dispatch.** Every admitted request is dispatched to
-  exactly one worker; a dead or stalled worker's unresolved requests are
-  re-queued (in submission order) and re-dispatched to survivors. The
+  exactly one worker. Before a failed worker is killed, results already
+  on its pipe are salvaged; its unresolved requests then go back to the
+  front of the queue, in submission order, for the survivors. The
   ledger is idempotent by request id: a duplicate result — a stall that
   turned out to be slowness, a race between a worker's last write and its
   death — is counted (``duplicate_results``) and dropped, never served
   twice. Results are byte-identical regardless of which worker serves
   them: decode is a pure function of (weights, request), and the engine's
   fixed-width frontier makes cohabitation inert.
-- **Graceful drain.** :class:`DrainGuard` converts SIGTERM/SIGINT into a
-  latch; :meth:`ServingPool.begin_drain` stops admission (further submits
-  shed with reason ``draining``), in-flight requests finish — or expire
-  through the ordinary deadline machinery — and the process exits 0 with
-  no orphans.
+- **Graceful drain.** :class:`~repro.runtime.supervisor.DrainGuard`
+  converts SIGTERM/SIGINT into a latch; :meth:`ServingPool.begin_drain`
+  stops admission (further submits shed with reason ``draining``),
+  in-flight requests finish — or expire through the ordinary deadline
+  machinery — and the process exits 0 with no orphans.
 - **Hot weight reload.** :meth:`ServingPool.reload_weights` swaps in a new
   checkpoint via a prepare/commit handshake::
 
@@ -60,24 +57,20 @@ from __future__ import annotations
 
 import copy
 import os
-import signal as signal_module
-import threading
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
-from multiprocessing import connection as mp_connection
 from typing import Mapping
-
-import multiprocessing
 
 from repro.data.dataset import EncodedExample
 from repro.data.vocabulary import Vocabulary
-from repro.observability import (
-    Telemetry,
-    emit_worker_pool,
-    get_telemetry,
-    process_rss_bytes,
+from repro.observability import Telemetry, get_telemetry
+from repro.runtime.supervisor import (
+    DrainGuard,
+    Supervisor,
+    SupervisorConfig,
+    WorkerHandle,
+    WorkerLink,
 )
 from repro.serving.cache import EncoderStateCache, fingerprint_model
 from repro.serving.deadline import Clock
@@ -100,10 +93,6 @@ __all__ = [
     "DrainGuard",
 ]
 
-_KILL_EXIT_CODE = 37
-"""Exit code of a fault-injected worker kill (distinguishable in tests)."""
-_STALL_SECONDS = 3600.0
-"""A stalled worker sleeps this long; the supervisor kills it far sooner."""
 _GAUGE_INTERVAL = 0.5
 """Least seconds between two ``serving.pool.*`` gauge emissions."""
 
@@ -113,26 +102,17 @@ class WeightReloadError(ServingError):
 
 
 @dataclass(frozen=True)
-class PoolConfig:
-    """Shape and supervision policy of the decode worker pool.
+class PoolConfig(SupervisorConfig):
+    """Shape and supervision policy of the decode worker pool; the
+    supervision fields are documented on
+    :class:`~repro.runtime.supervisor.SupervisorConfig`.
 
     Parameters
     ----------
     workers:
-        Decode worker processes. Every worker runs a full continuous
-        batching engine; requests are spread over the live membership.
-    worker_timeout:
-        Seconds without a heartbeat before a worker is declared dead.
-    heartbeat_interval:
-        How often workers send heartbeats (must be < ``worker_timeout``).
-    poll_interval:
-        Coordinator's supervision cadence while waiting on results.
-    max_worker_restarts:
-        Per-worker restart budget; exhausting it retires the rank. With
-        every rank retired the coordinator decodes inline.
-    restart_backoff:
-        Base delay before respawning a failed worker; doubles per restart
-        of that rank (``backoff * 2^k``).
+        Decode worker processes (at least one). Every worker runs a full
+        continuous batching engine; requests are spread over the live
+        membership.
     max_in_flight_per_worker:
         Most requests dispatched to one worker before the coordinator
         waits for results (bounds re-dispatch work on a death).
@@ -141,41 +121,16 @@ class PoolConfig:
     reload_timeout:
         Hard ceiling on one prepare/commit handshake before the reload is
         aborted with :class:`WeightReloadError`.
-    start_method:
-        Multiprocessing start method. ``fork`` (default) lets workers
-        inherit the model weights without pickling; the OS shares the
-        pages until someone writes (nobody does — workers only read).
     """
 
-    workers: int = 2
-    worker_timeout: float = 10.0
-    heartbeat_interval: float = 0.25
-    poll_interval: float = 0.02
-    max_worker_restarts: int = 2
-    restart_backoff: float = 0.1
     max_in_flight_per_worker: int = 4
     queue_limit: int = 256
     reload_timeout: float = 60.0
-    start_method: str = "fork"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.worker_timeout <= 0:
-            raise ValueError(f"worker_timeout must be positive, got {self.worker_timeout}")
-        if not 0 < self.heartbeat_interval < self.worker_timeout:
-            raise ValueError(
-                f"heartbeat_interval must be in (0, worker_timeout), "
-                f"got {self.heartbeat_interval} vs {self.worker_timeout}"
-            )
-        if self.poll_interval <= 0:
-            raise ValueError(f"poll_interval must be positive, got {self.poll_interval}")
-        if self.max_worker_restarts < 0:
-            raise ValueError(
-                f"max_worker_restarts must be >= 0, got {self.max_worker_restarts}"
-            )
-        if self.restart_backoff < 0:
-            raise ValueError(f"restart_backoff must be >= 0, got {self.restart_backoff}")
+        super().__post_init__()
         if self.max_in_flight_per_worker < 1:
             raise ValueError(
                 f"max_in_flight_per_worker must be >= 1, "
@@ -185,11 +140,6 @@ class PoolConfig:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
         if self.reload_timeout <= 0:
             raise ValueError(f"reload_timeout must be positive, got {self.reload_timeout}")
-        if self.start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"start method {self.start_method!r} unavailable on this platform "
-                f"(have {multiprocessing.get_all_start_methods()})"
-            )
 
 
 @dataclass(frozen=True)
@@ -264,52 +214,6 @@ class PoolStats:
         }
 
 
-class DrainGuard:
-    """Latch SIGTERM/SIGINT into a ``draining`` flag instead of dying.
-
-    The serve loop polls :attr:`draining`; on the first signal it stops
-    admission, finishes (or deadline-expires) what is in flight, flushes
-    telemetry, and exits 0. A second signal of the same kind still only
-    sets the flag — shutdown stays graceful and idempotent.
-    """
-
-    def __init__(self, signals=(signal_module.SIGTERM, signal_module.SIGINT)) -> None:
-        self.signals = tuple(signals)
-        self.signum: int | None = None
-        self._previous: dict[int, object] = {}
-
-    @property
-    def draining(self) -> bool:
-        return self.signum is not None
-
-    def install(self) -> "DrainGuard":
-        def _flag(signum, frame):  # noqa: ARG001 - signal handler signature
-            self.signum = signum
-
-        for sig in self.signals:
-            self._previous[sig] = signal_module.signal(sig, _flag)
-        return self
-
-    def restore(self) -> None:
-        for sig, handler in self._previous.items():
-            signal_module.signal(sig, handler)
-        self._previous.clear()
-
-
-def _mask_pool_worker_signals() -> None:
-    """Make a decode worker deaf to SIGINT *and* SIGTERM.
-
-    A terminal signal goes to the whole foreground process group. Only the
-    coordinator may react: it stops admission and drains in-flight work —
-    which the workers are still serving. Workers that died to the group
-    signal would turn every graceful drain into a re-dispatch storm. The
-    coordinator owns worker lifetime through the pipe (``shutdown``) and
-    SIGKILL, neither of which can be masked.
-    """
-    signal_module.signal(signal_module.SIGINT, signal_module.SIG_IGN)
-    signal_module.signal(signal_module.SIGTERM, signal_module.SIG_IGN)
-
-
 def _checkpoint_base(path: str | os.PathLike) -> str:
     """Resolve a reload path to a checkpoint base (``<base>.npz/.json``).
 
@@ -343,8 +247,7 @@ def _stage_checkpoint(model, path: str | os.PathLike) -> tuple[dict, str]:
 # Worker process
 # ----------------------------------------------------------------------
 def _pool_worker_main(
-    rank: int,
-    conn,
+    link: WorkerLink,
     model,
     encoder_vocab: Vocabulary,
     decoder_vocab: Vocabulary,
@@ -352,33 +255,8 @@ def _pool_worker_main(
     service_config: ServiceConfig | None,
     engine_config: EngineConfig | None,
     cache_size: int,
-    heartbeat_interval: float,
-    fault_plan: PoolFaultPlan | None,
 ) -> None:
-    """Decode worker loop: one engine, one pipe, one heartbeat thread."""
-    _mask_pool_worker_signals()
-    send_lock = threading.Lock()
-    stalled = threading.Event()
-
-    def _send(message) -> bool:
-        try:
-            with send_lock:
-                conn.send(message)
-            return True
-        except (BrokenPipeError, OSError):
-            return False
-
-    def _heartbeat() -> None:
-        while not stalled.is_set():
-            if not _send(("hb", rank, process_rss_bytes())):
-                return
-            stalled.wait(heartbeat_interval)
-
-    heartbeat_thread = threading.Thread(
-        target=_heartbeat, name=f"serving-hb-{rank}", daemon=True
-    )
-    heartbeat_thread.start()
-
+    """Decode worker loop: one engine over the fork-inherited weights."""
     cache = (
         EncoderStateCache(cache_size, telemetry=Telemetry([])) if cache_size else None
     )
@@ -396,103 +274,71 @@ def _pool_worker_main(
     fingerprint = fingerprint_model(model)
     staged: tuple[int, dict, str] | None = None
     commit_generation: int | None = None
-    serves = 0
 
-    try:
-        _send(("hello", rank, os.getpid(), fingerprint))
-        while True:
-            # Block only when idle; with work in flight just sweep the pipe.
-            busy = bool(engine.in_flight or engine.queue_depth)
-            timeout = 0.0 if busy else 0.05
-            while conn.poll(timeout):
-                timeout = 0.0
-                message = conn.recv()
-                kind = message[0]
-                if kind == "shutdown":
-                    return
-                if kind == "serve":
-                    request: GenerationRequest = message[1]
-                    serves += 1
-                    action = (
-                        fault_plan.action_for(rank, serves) if fault_plan else None
-                    )
-                    if action == "kill":
-                        os._exit(_KILL_EXIT_CODE)
-                    if action == "stall":
-                        # Simulated hang: heartbeats stop, the process
-                        # lingers; the supervisor must SIGKILL on timeout
-                        # and re-dispatch everything this worker held.
-                        stalled.set()
-                        time.sleep(_STALL_SECONDS)
-                        continue
-                    immediate = engine.submit(request)
-                    if immediate is not None:
-                        _send(("result", rank, immediate, fingerprint))
-                elif kind == "reload_prepare":
-                    generation, path = message[1], message[2]
-                    try:
-                        state, staged_fp = _stage_checkpoint(model, path)
-                        staged = (generation, state, staged_fp)
-                        _send(("reload_staged", rank, generation, staged_fp))
-                    except Exception as error:  # noqa: BLE001 - report, don't die
-                        staged = None
-                        _send(("reload_failed", rank, generation, repr(error)))
-                elif kind == "reload_commit":
-                    commit_generation = message[1]
-                elif kind == "reload_abort":
-                    if staged is not None and staged[0] == message[1]:
-                        staged = None
-                    commit_generation = None
-            if engine.in_flight or engine.queue_depth:
-                for outcome in engine.step():
-                    _send(("result", rank, outcome, fingerprint))
-            elif (
-                commit_generation is not None
-                and staged is not None
-                and staged[0] == commit_generation
-            ):
-                # Swap only with an empty frontier: no request ever decodes
-                # under a mix of old and new weights.
-                model.load_state_dict(staged[1])
-                fingerprint = staged[2]
-                if cache is not None:
-                    cache.refresh(model)
-                staged = None
+    while True:
+        # Block only when idle; with work in flight just sweep the pipe.
+        busy = bool(engine.in_flight or engine.queue_depth)
+        timeout = 0.0 if busy else 0.05
+        while link.conn.poll(timeout):
+            timeout = 0.0
+            message = link.conn.recv()
+            kind = message[0]
+            if kind == "shutdown":
+                return
+            if kind == "serve":
+                request: GenerationRequest = message[1]
+                link.inject()
+                immediate = engine.submit(request)
+                if immediate is not None:
+                    link.send("result", immediate, fingerprint)
+            elif kind == "reload_prepare":
+                generation, path = message[1], message[2]
+                try:
+                    state, staged_fp = _stage_checkpoint(model, path)
+                    staged = (generation, state, staged_fp)
+                    link.send("reload_staged", generation, staged_fp)
+                except Exception as error:  # noqa: BLE001 - report, don't die
+                    staged = None
+                    link.send("reload_failed", generation, repr(error))
+            elif kind == "reload_commit":
+                commit_generation = message[1]
+            elif kind == "reload_abort":
+                if staged is not None and staged[0] == message[1]:
+                    staged = None
                 commit_generation = None
-                _send(("reload_done", rank, fingerprint))
-    except (EOFError, KeyboardInterrupt):
-        return
-    except Exception:  # noqa: BLE001 - a worker must report, not vanish
-        _send(("error", rank, traceback.format_exc()))
-        os._exit(1)
-    finally:
-        stalled.set()
+        if engine.in_flight or engine.queue_depth:
+            for outcome in engine.step():
+                link.send("result", outcome, fingerprint)
+        elif (
+            commit_generation is not None
+            and staged is not None
+            and staged[0] == commit_generation
+        ):
+            # Swap only with an empty frontier: no request ever decodes
+            # under a mix of old and new weights.
+            model.load_state_dict(staged[1])
+            fingerprint = staged[2]
+            if cache is not None:
+                cache.refresh(model)
+            staged = None
+            commit_generation = None
+            link.send("reload_done", fingerprint)
 
 
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
 @dataclass
-class _PoolWorkerHandle:
-    rank: int
-    process: object | None = None
-    conn: object | None = None
-    last_heartbeat: float = 0.0
-    rss_bytes: int = 0
-    restarts_used: int = 0
-    status: str = "live"  # live | backoff | retired
-    backoff_until: float = 0.0
-    fingerprint: str | None = None
+class _RankState:
+    """The serving protocol's state for one rank; its process lifecycle is
+    on the rank's :class:`~repro.runtime.supervisor.WorkerHandle`."""
+
     in_flight: dict[str, int] = field(default_factory=dict)
     """request_id → submission sequence currently dispatched to this rank."""
     staged_generation: int | None = None
     staged_fingerprint: str | None = None
     staged_error: str | None = None
     committed: bool = False
-
-    @property
-    def pid(self) -> int | None:
-        return self.process.pid if self.process is not None else None
 
 
 @dataclass
@@ -534,12 +380,18 @@ class ServingPool:
         self.config = config if config is not None else PoolConfig()
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         self.cache_size = cache_size
-        self.fault_plan = fault_plan
         self.stats = PoolStats()
         self.validator = RequestValidator(encoder_vocab, decoder_vocab, policy)
         self.fingerprint = fingerprint_model(model)
-        self._handles: dict[int, _PoolWorkerHandle] = {}
-        self._ctx = None
+        self._workers = Supervisor(
+            self.config,
+            _pool_worker_main,
+            (model, encoder_vocab, decoder_vocab, policy, service_config,
+             engine_config, cache_size),
+            fault_plan=fault_plan,
+            name="serving-worker",
+        )
+        self._ranks: dict[int, _RankState] = {}
         self._pending: deque[_Ticket] = deque()
         self._tickets_by_id: dict[str, _Ticket] = {}
         self._resolved: dict[str, str] = {}
@@ -560,83 +412,20 @@ class ServingPool:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Fork the workers; idempotent (submit/drain call it lazily)."""
-        if self._handles:
+        if self._workers.handles:
             return
-        self._ctx = multiprocessing.get_context(self.config.start_method)
         for rank in range(self.config.workers):
-            self._handles[rank] = _PoolWorkerHandle(rank=rank)
-            self._spawn_worker(self._handles[rank])
-
-    def _spawn_worker(self, handle: _PoolWorkerHandle) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        # Injected faults fire in a rank's first incarnation only — same
-        # rationale as the elastic trainer's WorkerFaultPlan.
-        fault_plan = self.fault_plan if handle.restarts_used == 0 else None
-        process = self._ctx.Process(
-            target=_pool_worker_main,
-            args=(
-                handle.rank,
-                child_conn,
-                self.model,
-                self.encoder_vocab,
-                self.decoder_vocab,
-                self.policy,
-                self.service_config,
-                self.engine_config,
-                self.cache_size,
-                self.config.heartbeat_interval,
-                fault_plan,
-            ),
-            name=f"serving-worker-{handle.rank}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        handle.process = process
-        handle.conn = parent_conn
-        handle.last_heartbeat = time.monotonic()
-        handle.status = "live"
-        handle.fingerprint = None
-        handle.in_flight = {}
-
-    def _kill_worker_process(self, handle: _PoolWorkerHandle) -> None:
-        if handle.process is not None:
-            if handle.process.is_alive():
-                handle.process.kill()
-            handle.process.join(timeout=5.0)
-            handle.process = None
-        if handle.conn is not None:
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            handle.conn = None
+            self._ranks[rank] = _RankState()
+            self._workers.spawn(self._workers.add(rank))
 
     def shutdown(self) -> None:
         """Stop and reap every worker; idempotent, never leaves orphans."""
-        for handle in self._handles.values():
-            if handle.conn is not None:
-                try:
-                    handle.conn.send(("shutdown",))
-                except (BrokenPipeError, OSError):
-                    pass
-        deadline = time.monotonic() + 5.0
-        for handle in self._handles.values():
-            if handle.process is not None:
-                handle.process.join(timeout=max(0.1, deadline - time.monotonic()))
-            self._kill_worker_process(handle)
-        self._handles.clear()
+        self._workers.shutdown()
+        self._ranks.clear()
 
     def live_worker_pids(self) -> list[int]:
         """PIDs of workers still running (empty after a clean shutdown)."""
-        return [
-            handle.pid
-            for handle in self._handles.values()
-            if handle.process is not None and handle.process.is_alive()
-        ]
-
-    def _live_handles(self) -> list[_PoolWorkerHandle]:
-        return [h for h in self._handles.values() if h.status == "live"]
+        return self._workers.live_pids()
 
     # ------------------------------------------------------------------
     # Submission / drain lifecycle
@@ -647,7 +436,7 @@ class ServingPool:
 
     @property
     def in_flight(self) -> int:
-        return sum(len(h.in_flight) for h in self._handles.values())
+        return sum(len(state.in_flight) for state in self._ranks.values())
 
     @property
     def draining(self) -> bool:
@@ -720,47 +509,33 @@ class ServingPool:
     # Supervision
     # ------------------------------------------------------------------
     def _supervise(self) -> None:
-        now = time.monotonic()
-        for handle in list(self._handles.values()):
-            if handle.status == "live":
-                if handle.process is None or not handle.process.is_alive():
-                    self._fail_worker(handle, "process_died")
-                elif now - handle.last_heartbeat > self.config.worker_timeout:
-                    self._fail_worker(handle, "heartbeat_timeout")
-            elif (
-                handle.status == "backoff"
-                and now >= handle.backoff_until
-                and not self._reloading
+        for handle, event in self._workers.sweep():
+            if event != "restart_due":
+                self._fail_worker(handle, event)
+            elif not self._reloading:
                 # During a reload, respawns wait for the commit: a fork
                 # must inherit the committed weights, never a mix.
-            ):
-                self._spawn_worker(handle)
+                self._workers.spawn(handle)
                 self.telemetry.run_marker("pool_worker_restarted", rank=handle.rank)
 
-    def _fail_worker(self, handle: _PoolWorkerHandle, cause: str) -> None:
+    def _fail_worker(self, handle: WorkerHandle, cause: str) -> None:
         """Salvage readable results, then re-queue what the rank held."""
         self.stats.worker_deaths += 1
         self.telemetry.counter("serving.pool.worker_deaths")
         self.telemetry.run_marker("pool_worker_dead", rank=handle.rank, cause=cause)
         # A worker can die with results already written to the pipe; those
         # are real completions, not re-dispatch work.
-        if handle.conn is not None:
-            try:
-                while handle.conn.poll():
-                    message = handle.conn.recv()
-                    if message[0] == "result":
-                        self._record(message[2], message[3], handle.rank)
-            except (EOFError, OSError):
-                pass
-        self._kill_worker_process(handle)
+        for message in self._workers.pending(handle):
+            if message[0] == "result":
+                self._record(message[2], message[3], handle.rank)
+        backoff = self._workers.fail(handle)
+        state = self._ranks[handle.rank]
         unresolved = sorted(
-            (
-                (seq, request_id)
-                for request_id, seq in handle.in_flight.items()
-                if request_id not in self._resolved
-            ),
+            (seq, request_id)
+            for request_id, seq in state.in_flight.items()
+            if request_id not in self._resolved
         )
-        handle.in_flight = {}
+        state.in_flight = {}
         tickets = []
         for _, request_id in unresolved:
             ticket = self._tickets_by_id.pop(request_id, None)
@@ -771,67 +546,41 @@ class ServingPool:
             self.telemetry.counter("serving.pool.redispatched", len(tickets))
             # Back to the FRONT of the queue, original submission order.
             self._pending.extendleft(reversed(tickets))
-        if handle.restarts_used >= self.config.max_worker_restarts:
-            handle.status = "retired"
-            survivors = sorted(
-                h.rank for h in self._handles.values() if h.status != "retired"
+        if backoff is None:
+            self.telemetry.run_marker(
+                "pool_degraded", survivors=self._workers.survivors()
             )
-            self.telemetry.run_marker("pool_degraded", survivors=survivors)
             return
-        handle.restarts_used += 1
         self.stats.worker_restarts += 1
-        backoff = self.config.restart_backoff * (2 ** (handle.restarts_used - 1))
-        handle.status = "backoff"
-        handle.backoff_until = time.monotonic() + backoff
         self.telemetry.counter("serving.pool.worker_restarts")
 
     # ------------------------------------------------------------------
     # Collection
     # ------------------------------------------------------------------
     def _collect(self) -> None:
-        conns = {
-            handle.conn: handle
-            for handle in self._live_handles()
-            if handle.conn is not None
-        }
-        if not conns:
-            healing = any(h.status == "backoff" for h in self._handles.values())
-            if healing and (self._pending or self.in_flight):
+        if not self._workers.live():
+            if self._workers.healing and (self._pending or self.in_flight):
                 time.sleep(self.config.poll_interval)
             return
-        ready = mp_connection.wait(list(conns), timeout=self.config.poll_interval)
-        for conn in ready:
-            handle = conns[conn]
-            while True:
-                try:
-                    if not conn.poll():
-                        break
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    break  # liveness check next pass reaps the rank
-                self._handle_message(handle, message)
+        for handle, message in self._workers.messages():
+            self._handle_message(handle, message)
 
-    def _handle_message(self, handle: _PoolWorkerHandle, message) -> None:
+    def _handle_message(self, handle: WorkerHandle, message) -> None:
         kind = message[0]
-        handle.last_heartbeat = time.monotonic()
-        if kind == "hb":
-            handle.rss_bytes = int(message[2])
-        elif kind == "hello":
-            handle.fingerprint = message[3]
-        elif kind == "result":
+        state = self._ranks[handle.rank]
+        if kind == "result":
             _, rank, outcome, fingerprint = message
-            handle.in_flight.pop(outcome.request_id, None)
+            state.in_flight.pop(outcome.request_id, None)
             self._record(outcome, fingerprint, rank)
         elif kind == "reload_staged":
-            handle.staged_generation = message[2]
-            handle.staged_fingerprint = message[3]
+            state.staged_generation = message[2]
+            state.staged_fingerprint = message[3]
         elif kind == "reload_failed":
-            handle.staged_generation = message[2]
-            handle.staged_fingerprint = None
-            handle.staged_error = message[3]
+            state.staged_generation = message[2]
+            state.staged_fingerprint = None
+            state.staged_error = message[3]
         elif kind == "reload_done":
-            handle.fingerprint = message[2]
-            handle.committed = True
+            state.committed = True
         elif kind == "error":
             self.telemetry.log(
                 f"[serving.pool] worker {handle.rank} raised:\n{message[2]}"
@@ -887,26 +636,25 @@ class ServingPool:
             return
         if self._reloading:
             return  # requests wait out the handshake; nothing is lost
-        live = sorted(self._live_handles(), key=lambda h: h.rank)
+        live = self._workers.live()
         if not live:
-            if any(h.status == "backoff" for h in self._handles.values()):
+            if self._workers.healing:
                 return  # restarts are due shortly; the pool will heal
             self._serve_inline()
             return
         capacity = self.config.max_in_flight_per_worker
-        candidates = [h for h in live if len(h.in_flight) < capacity]
+        candidates = [h for h in live if len(self._ranks[h.rank].in_flight) < capacity]
         while self._pending and candidates:
             handle = candidates[self._rr % len(candidates)]
+            in_flight = self._ranks[handle.rank].in_flight
             ticket = self._pending.popleft()
-            try:
-                handle.conn.send(("serve", ticket.request))
-            except (BrokenPipeError, OSError):
+            if not self._workers.send(handle, ("serve", ticket.request)):
                 self._pending.appendleft(ticket)
                 return  # reaped next supervision pass, then re-dispatched
-            handle.in_flight[ticket.request.request_id] = ticket.seq
+            in_flight[ticket.request.request_id] = ticket.seq
             self._tickets_by_id[ticket.request.request_id] = ticket
             self._rr += 1
-            if len(handle.in_flight) >= capacity:
+            if len(in_flight) >= capacity:
                 candidates = [h for h in candidates if h is not handle]
 
     def _serve_inline(self) -> None:
@@ -970,41 +718,39 @@ class ServingPool:
         deadline = time.monotonic() + self.config.reload_timeout
         self._reloading = True
         try:
-            targets = self._begin_phase(generation)
-            for handle in targets:
-                self._send_or_fail(handle, ("reload_prepare", generation, path))
+            for handle in self._begin_phase():
+                self._workers.send(handle, ("reload_prepare", generation, path))
             self._await_phase(
                 generation, deadline,
-                lambda h: getattr(h, "staged_generation", None) == generation,
+                lambda state: state.staged_generation == generation,
             )
             survivors = [
-                h for h in self._live_handles()
-                if getattr(h, "staged_generation", None) == generation
+                h for h in self._workers.live()
+                if self._ranks[h.rank].staged_generation == generation
             ]
             mismatched = [
-                h for h in survivors if getattr(h, "staged_fingerprint", None) != new_fp
+                (h.rank, self._ranks[h.rank]) for h in survivors
+                if self._ranks[h.rank].staged_fingerprint != new_fp
             ]
             if mismatched:
                 details = "; ".join(
-                    f"rank {h.rank}: "
+                    f"rank {rank}: "
                     + (
-                        getattr(h, "staged_error", None)
-                        or f"fingerprint {str(getattr(h, 'staged_fingerprint', None))[:12]}…"
+                        state.staged_error
+                        or f"fingerprint {str(state.staged_fingerprint)[:12]}…"
                     )
-                    for h in mismatched
+                    for rank, state in mismatched
                 )
                 for handle in survivors:
-                    self._send_or_fail(handle, ("reload_abort", generation))
+                    self._workers.send(handle, ("reload_abort", generation))
                 raise WeightReloadError(
                     f"reload aborted, old weights keep serving — staging "
                     f"diverged from coordinator fingerprint {new_fp[:12]}…: {details}"
                 )
             for handle in survivors:
-                handle.committed = False
-                self._send_or_fail(handle, ("reload_commit", generation))
-            self._await_phase(
-                generation, deadline, lambda h: getattr(h, "committed", False)
-            )
+                self._ranks[handle.rank].committed = False
+                self._workers.send(handle, ("reload_commit", generation))
+            self._await_phase(generation, deadline, lambda state: state.committed)
             # Every surviving worker swapped; now the coordinator (and any
             # worker forked from it later) follows.
             self.model.load_state_dict(staged_state)
@@ -1021,31 +767,23 @@ class ServingPool:
         finally:
             self._reloading = False
 
-    def _begin_phase(self, generation: int) -> list[_PoolWorkerHandle]:
-        targets = self._live_handles()
+    def _begin_phase(self) -> list[WorkerHandle]:
+        targets = self._workers.live()
         for handle in targets:
-            handle.staged_generation = None
-            handle.staged_fingerprint = None
-            handle.staged_error = None
-            handle.committed = False
+            state = self._ranks[handle.rank]
+            state.staged_generation = None
+            state.staged_fingerprint = None
+            state.staged_error = None
+            state.committed = False
         return targets
 
-    def _send_or_fail(self, handle: _PoolWorkerHandle, message) -> None:
-        if handle.conn is None:
-            return
-        try:
-            handle.conn.send(message)
-        except (BrokenPipeError, OSError):
-            pass  # the next supervision pass reaps it
-
     def _await_phase(self, generation: int, deadline: float, done) -> None:
-        """Wait until every live worker satisfies ``done`` (deaths shrink
-        the quorum: the commit only ever needs the survivors)."""
+        """Wait until every live worker's state satisfies ``done`` (deaths
+        shrink the quorum: the commit only ever needs the survivors)."""
         while True:
             self._supervise()
             self._collect()
-            live = self._live_handles()
-            if all(done(h) for h in live):
+            if all(done(self._ranks[h.rank]) for h in self._workers.live()):
                 return
             if time.monotonic() > deadline:
                 raise WeightReloadError(
@@ -1061,14 +799,7 @@ class ServingPool:
         if now - self._last_gauges < _GAUGE_INTERVAL:
             return
         self._last_gauges = now
-        live = self._live_handles()
-        emit_worker_pool(
-            self.telemetry,
-            "serving.pool",
-            {h.rank: now - h.last_heartbeat for h in live},
-            world_size=len(live),
-            rss_bytes={h.rank: h.rss_bytes for h in live if h.rss_bytes > 0},
-        )
+        self._workers.emit_gauges(self.telemetry, "serving.pool")
         self.telemetry.gauge("serving.pool.queue_depth", float(self.queue_depth))
         self.telemetry.gauge("serving.pool.in_flight", float(self.in_flight))
 
@@ -1080,9 +811,9 @@ class ServingPool:
             str(rank): {
                 "status": handle.status,
                 "restarts_used": handle.restarts_used,
-                "in_flight": len(handle.in_flight),
+                "in_flight": len(self._ranks[rank].in_flight),
             }
-            for rank, handle in sorted(self._handles.items())
+            for rank, handle in sorted(self._workers.handles.items())
         }
         payload["fingerprint"] = self.fingerprint[:16]
         payload["generation"] = self._generation

@@ -14,45 +14,31 @@ streams are derived statelessly from the run seed — the trained parameters
 are **bit-identical at every world size**, including after worker deaths,
 restarts, and degraded re-sharding.
 
-Supervision state machine (per worker)::
-
-    SPAWNED ── heartbeat ──▶ LIVE ──┬─ death/timeout/corrupt ─▶ BACKOFF
-                                    │        (budget left)        │
-                                    │                        spawn after
-                                    │                      backoff * 2^k
-                                    └─ budget exhausted ──▶ RETIRED
-    all RETIRED ──▶ coordinator computes inline (degrade, don't die)
-
-Faults the supervisor handles: a worker process dying (non-zero exit,
-kill -9), heartbeats stalling past ``worker_timeout``, and non-finite
-gradient contributions (corruption). Outstanding micro-batches of a failed
-worker are re-queued and recomputed — bit-exactly, see above — on the
-survivors. A non-finite gradient that *reproduces* on recomputation is not
-corruption but divergence, and raises
+Worker supervision (fork, heartbeats, restart with backoff, retirement,
+orphan-free shutdown, signals) is :mod:`repro.runtime.supervisor`'s, state
+machine included. This module keeps the gradient protocol — ``params`` and
+``compute`` out, ``grad`` back — and its recovery policy. A failed worker's
+outstanding micro-batches are re-sharded onto the survivors and recomputed,
+bit-exactly; with every rank retired the coordinator computes inline. A
+non-finite gradient counts as worker corruption (``corrupt_gradient``)
+once; if it *reproduces* on recomputation it is divergence, and raises
 :class:`~repro.training.trainer.TrainingDiverged` (recoverable through the
 same snapshot-rollback machinery as the single-process trainer).
 
-Workers mask SIGINT, so Ctrl-C on the process group interrupts only the
-coordinator, which finishes the in-flight step, writes exactly one
-graceful final snapshot, shuts the pool down, and raises
-:class:`~repro.training.trainer.TrainingInterrupted`.
+Workers ignore SIGINT and SIGTERM, so a signal to the process group
+interrupts only the coordinator, which finishes the in-flight step,
+writes exactly one graceful final snapshot, shuts the pool down, and
+raises :class:`~repro.training.trainer.TrainingInterrupted`.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import signal as signal_module
-import threading
 import time
-import traceback
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from typing import Callable, Mapping, Sequence
-
-import multiprocessing
 
 import numpy as np
 
@@ -63,15 +49,21 @@ from repro.models.base import QuestionGenerator
 from repro.observability import (
     Telemetry,
     TerminalSink,
-    emit_worker_pool,
     get_telemetry,
     param_norm,
-    process_rss_bytes,
     scaling_efficiency,
 )
 from repro.optim import SGD, HalveAtEpoch, NonFiniteGradError, clip_grad_norm
 from repro.optim.optimizers import Optimizer
 from repro.optim.schedules import Schedule
+from repro.runtime.supervisor import (
+    DrainGuard,
+    Supervisor,
+    SupervisorConfig,
+    WorkerHandle,
+    WorkerLink,
+    mask_worker_signals,
+)
 from repro.training.history import EpochRecord, RecoveryEvent, TrainingHistory
 from repro.training.resilience import ResilienceConfig, SnapshotStore
 from repro.training.sharding import (
@@ -95,18 +87,16 @@ __all__ = [
 ]
 
 _SNAP_FORMAT_KEY = "elastic"
-_KILL_EXIT_CODE = 37
-"""Exit code of a fault-injected worker kill (distinguishable in tests)."""
-_STALL_SECONDS = 3600.0
-"""A stalled worker sleeps this long; the supervisor kills it far sooner."""
 
 
 # ----------------------------------------------------------------------
 # Configuration and fault seam
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ElasticConfig:
-    """Shape and supervision policy of the worker pool.
+class ElasticConfig(SupervisorConfig):
+    """Shape and supervision policy of the gradient worker pool; the
+    supervision fields are documented on
+    :class:`~repro.runtime.supervisor.SupervisorConfig`.
 
     Parameters
     ----------
@@ -119,58 +109,15 @@ class ElasticConfig:
         world size — defines the optimization trajectory: two runs with the
         same value produce bit-identical parameters at any worker count.
         ``None`` pins it to ``max(1, workers)`` at trainer construction.
-    worker_timeout:
-        Seconds without a heartbeat before a worker is declared dead.
-    heartbeat_interval:
-        How often workers send heartbeats (must be < ``worker_timeout``).
-    poll_interval:
-        Coordinator's supervision cadence while waiting on results.
-    max_worker_restarts:
-        Per-worker restart budget; exhausting it retires the rank and
-        re-shards its slots onto the survivors (degraded mode).
-    restart_backoff:
-        Base delay before respawning a failed worker; doubles per restart
-        of that rank (``backoff * 2^k``).
-    start_method:
-        Multiprocessing start method. ``fork`` (default) lets workers
-        inherit the model replica and examples without pickling.
     """
 
-    workers: int = 2
     microbatches_per_step: int | None = None
-    worker_timeout: float = 10.0
-    heartbeat_interval: float = 0.25
-    poll_interval: float = 0.02
-    max_worker_restarts: int = 2
-    restart_backoff: float = 0.1
-    start_method: str = "fork"
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
+        super().__post_init__()
         if self.microbatches_per_step is not None and self.microbatches_per_step < 1:
             raise ValueError(
                 f"microbatches_per_step must be >= 1, got {self.microbatches_per_step}"
-            )
-        if self.worker_timeout <= 0:
-            raise ValueError(f"worker_timeout must be positive, got {self.worker_timeout}")
-        if not 0 < self.heartbeat_interval < self.worker_timeout:
-            raise ValueError(
-                f"heartbeat_interval must be in (0, worker_timeout), "
-                f"got {self.heartbeat_interval} vs {self.worker_timeout}"
-            )
-        if self.poll_interval <= 0:
-            raise ValueError(f"poll_interval must be positive, got {self.poll_interval}")
-        if self.max_worker_restarts < 0:
-            raise ValueError(
-                f"max_worker_restarts must be >= 0, got {self.max_worker_restarts}"
-            )
-        if self.restart_backoff < 0:
-            raise ValueError(f"restart_backoff must be >= 0, got {self.restart_backoff}")
-        if self.workers > 0 and self.start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"start method {self.start_method!r} unavailable on this platform "
-                f"(have {multiprocessing.get_all_start_methods()}); use workers=0"
             )
 
 
@@ -200,16 +147,6 @@ class WorkerFaultPlan:
         if self.corrupt_on_compute.get(rank) == nth_compute:
             return "corrupt"
         return None
-
-
-def mask_worker_signals() -> None:
-    """Make a worker deaf to SIGINT.
-
-    Ctrl-C delivers SIGINT to the whole foreground process group; only the
-    coordinator may react (it writes the single graceful final snapshot).
-    SIGTERM stays at its default so the supervisor can terminate workers.
-    """
-    signal_module.signal(signal_module.SIGINT, signal_module.SIG_IGN)
 
 
 # ----------------------------------------------------------------------
@@ -264,96 +201,30 @@ def _zero_accum() -> dict:
 # Worker process
 # ----------------------------------------------------------------------
 def _worker_main(
-    rank: int,
-    conn,
+    link: WorkerLink,
     model: QuestionGenerator,
     examples: Sequence[EncodedExample],
     run_seed: int,
     pad_id: int,
-    heartbeat_interval: float,
-    fault_plan: WorkerFaultPlan | None,
 ) -> None:
-    """Worker loop: load params, compute assigned micro-batches, heartbeat."""
-    mask_worker_signals()
-    send_lock = threading.Lock()
-    stalled = threading.Event()
-
-    def _send(message) -> bool:
-        try:
-            with send_lock:
-                conn.send(message)
-            return True
-        except (BrokenPipeError, OSError):
-            return False
-
-    def _heartbeat() -> None:
-        # Each heartbeat carries the worker's current RSS: with the corpus
-        # mmap-shared the gauge stays near the model-replica size, which is
-        # what makes the shard store's no-materialization claim observable.
-        while not stalled.is_set():
-            if not _send(("hb", rank, process_rss_bytes())):
-                return
-            stalled.wait(heartbeat_interval)
-
-    heartbeat_thread = threading.Thread(
-        target=_heartbeat, name=f"elastic-hb-{rank}", daemon=True
-    )
-    heartbeat_thread.start()
-    computes = 0
-    try:
-        _send(("hello", rank, os.getpid()))
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "shutdown":
-                return
-            if kind == "params":
-                model.load_state_dict(message[1])
-                continue
-            if kind == "compute":
-                _, epoch, slot, indices = message
-                computes += 1
-                action = fault_plan.action_for(rank, computes) if fault_plan else None
-                if action == "kill":
-                    os._exit(_KILL_EXIT_CODE)
-                if action == "stall":
-                    # Simulated hang: heartbeats stop, the process lingers.
-                    # The supervisor must notice via the timeout and SIGKILL.
-                    stalled.set()
-                    time.sleep(_STALL_SECONDS)
-                    continue
-                grads, loss_sum, tokens, seconds = compute_microbatch(
-                    model, examples, run_seed, epoch, slot, indices, pad_id
-                )
-                if action == "corrupt":
-                    grads[0] = grads[0].copy()
-                    grads[0].flat[0] = float("nan")
-                _send(("grad", rank, slot, grads, loss_sum, tokens, seconds))
-    except (EOFError, KeyboardInterrupt):
-        return
-    except Exception:  # noqa: BLE001 - a worker must report, not vanish
-        _send(("error", rank, traceback.format_exc()))
-        os._exit(1)
-
-
-# ----------------------------------------------------------------------
-# Worker handle (coordinator side)
-# ----------------------------------------------------------------------
-@dataclass
-class _WorkerHandle:
-    rank: int
-    process: object | None = None
-    conn: object | None = None
-    last_heartbeat: float = 0.0
-    rss_bytes: int = 0
-    restarts_used: int = 0
-    status: str = "live"  # live | backoff | retired
-    backoff_until: float = 0.0
-    params_version_sent: int = -1
-
-    @property
-    def pid(self) -> int | None:
-        return self.process.pid if self.process is not None else None
+    """Worker loop: load params, compute assigned micro-batches."""
+    while True:
+        message = link.conn.recv()
+        kind = message[0]
+        if kind == "shutdown":
+            return
+        if kind == "params":
+            model.load_state_dict(message[1])
+        elif kind == "compute":
+            _, epoch, slot, indices = message
+            action = link.inject()
+            grads, loss_sum, tokens, seconds = compute_microbatch(
+                model, examples, run_seed, epoch, slot, indices, pad_id
+            )
+            if action == "corrupt":
+                grads[0] = grads[0].copy()
+                grads[0].flat[0] = float("nan")
+            link.send("grad", slot, grads, loss_sum, tokens, seconds)
 
 
 class ElasticTrainer:
@@ -441,7 +312,6 @@ class ElasticTrainer:
         self.schedule = schedule or HalveAtEpoch(self.optimizer, self.config.halve_at_epoch)
         self.epoch_callback = epoch_callback
         self.resilience = resilience
-        self.fault_plan = fault_plan
         self._store = (
             SnapshotStore(resilience.directory, keep_last=resilience.keep_last)
             if resilience
@@ -449,8 +319,14 @@ class ElasticTrainer:
         )
         self.history = TrainingHistory()
         self.best_state: dict | None = None
-        self._handles: dict[int, _WorkerHandle] = {}
-        self._ctx = None
+        self._workers = Supervisor(
+            self.elastic,
+            _worker_main,
+            (self.model, self.examples, self.run_seed, self.pad_id),
+            fault_plan=fault_plan,
+            name="elastic-worker",
+        )
+        self._params_sent: dict[int, int] = {}  # rank → parameter version
         self._params_version = 0
         self._step = 0
         self._best_dev = float("inf")
@@ -459,7 +335,7 @@ class ElasticTrainer:
         self._recovery_events: list[RecoveryEvent] = []
         self._pending_backoff: float | None = None
         self._resume_accum: dict | None = None
-        self._interrupt_signum: int | None = None
+        self._guard = DrainGuard()
         self._degraded = False
         self._inline_announced = False
         self.worker_deaths = 0
@@ -470,82 +346,23 @@ class ElasticTrainer:
     # Pool management
     # ------------------------------------------------------------------
     def _spawn_pool(self) -> None:
-        if self.elastic.workers == 0 or self._handles:
+        if self.elastic.workers == 0 or self._workers.handles:
             return
-        self._ctx = multiprocessing.get_context(self.elastic.start_method)
         for rank in range(self.elastic.workers):
-            self._handles[rank] = _WorkerHandle(rank=rank)
-            self._spawn_worker(self._handles[rank])
+            self._spawn_worker(self._workers.add(rank))
 
-    def _spawn_worker(self, handle: _WorkerHandle) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        # Injected faults are transient by definition: they fire in a rank's
-        # FIRST incarnation only. A restarted worker counts its compute
-        # commands from 1 again, so handing it the same plan would re-fire
-        # the fault every respawn and burn the whole restart budget.
-        # Persistent faults are modeled with max_worker_restarts=0 instead.
-        fault_plan = self.fault_plan if handle.restarts_used == 0 else None
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                handle.rank,
-                child_conn,
-                self.model,
-                self.examples,
-                self.run_seed,
-                self.pad_id,
-                self.elastic.heartbeat_interval,
-                fault_plan,
-            ),
-            name=f"elastic-worker-{handle.rank}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        handle.process = process
-        handle.conn = parent_conn
-        handle.last_heartbeat = time.monotonic()
-        handle.status = "live"
-        handle.params_version_sent = -1
-
-    def _kill_worker_process(self, handle: _WorkerHandle) -> None:
-        if handle.process is not None:
-            if handle.process.is_alive():
-                handle.process.kill()
-            handle.process.join(timeout=5.0)
-            handle.process = None
-        if handle.conn is not None:
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            handle.conn = None
+    def _spawn_worker(self, handle: WorkerHandle) -> None:
+        """The trainer's one spawn path, initial and restart alike."""
+        self._workers.spawn(handle)
 
     def shutdown(self) -> None:
         """Stop and reap every worker; idempotent, never leaves orphans."""
-        for handle in self._handles.values():
-            if handle.conn is not None:
-                try:
-                    handle.conn.send(("shutdown",))
-                except (BrokenPipeError, OSError):
-                    pass
-        deadline = time.monotonic() + 5.0
-        for handle in self._handles.values():
-            if handle.process is not None:
-                handle.process.join(timeout=max(0.1, deadline - time.monotonic()))
-            self._kill_worker_process(handle)
-        self._handles.clear()
+        self._workers.shutdown()
+        self._params_sent.clear()
 
     def live_worker_pids(self) -> list[int]:
         """PIDs of workers still running (empty after a clean shutdown)."""
-        return [
-            handle.pid
-            for handle in self._handles.values()
-            if handle.process is not None and handle.process.is_alive()
-        ]
-
-    def _live_handles(self) -> list[_WorkerHandle]:
-        return [h for h in self._handles.values() if h.status == "live"]
+        return self._workers.live_pids()
 
     @property
     def worker_rss(self) -> dict[int, int]:
@@ -554,15 +371,13 @@ class ElasticTrainer:
         Zero until a rank's first RSS-bearing heartbeat arrives; gauged per
         step as ``elastic.worker<rank>.rss_mb``.
         """
-        return {
-            h.rank: h.rss_bytes for h in self._live_handles() if h.rss_bytes > 0
-        }
+        return self._workers.rss()
 
     # ------------------------------------------------------------------
     # Supervision
     # ------------------------------------------------------------------
     def _fail_worker(
-        self, handle: _WorkerHandle, cause: str, outstanding: dict
+        self, handle: WorkerHandle, cause: str, outstanding: dict
     ) -> list[tuple]:
         """Kill, re-queue, and either schedule a restart or retire the rank.
 
@@ -572,23 +387,16 @@ class ElasticTrainer:
         self.worker_deaths += 1
         requeued = [item for _, item in sorted(outstanding.pop(handle.rank, {}).items())]
         self.redispatched += len(requeued)
-        self._kill_worker_process(handle)
+        self._params_sent.pop(handle.rank, None)
+        backoff = self._workers.fail(handle)
         self.telemetry.counter("elastic.worker_deaths")
         self.telemetry.run_marker(
             "worker_dead", rank=handle.rank, cause=cause, step=self._step
         )
-        if handle.restarts_used >= self.elastic.max_worker_restarts:
-            handle.status = "retired"
-            survivors = sorted(
-                h.rank for h in self._handles.values() if h.status != "retired"
-            )
-            self._note_degraded(survivors)
+        if backoff is None:
+            self._note_degraded(self._workers.survivors())
             return requeued
-        handle.restarts_used += 1
         self.worker_restarts += 1
-        backoff = self.elastic.restart_backoff * (2 ** (handle.restarts_used - 1))
-        handle.status = "backoff"
-        handle.backoff_until = time.monotonic() + backoff
         self.telemetry.counter("elastic.worker_restarts")
         self.telemetry.run_marker(
             "worker_restart_scheduled",
@@ -610,37 +418,28 @@ class ElasticTrainer:
 
     def _supervise(self, outstanding: dict, pending: deque) -> None:
         """One supervision pass: detect deaths/stalls, respawn due workers."""
-        now = time.monotonic()
-        for handle in list(self._handles.values()):
-            if handle.status == "live":
-                if handle.process is None or not handle.process.is_alive():
-                    pending.extend(self._fail_worker(handle, "process_died", outstanding))
-                elif now - handle.last_heartbeat > self.elastic.worker_timeout:
-                    pending.extend(
-                        self._fail_worker(handle, "heartbeat_timeout", outstanding)
-                    )
-            elif handle.status == "backoff" and now >= handle.backoff_until:
+        for handle, event in self._workers.sweep():
+            if event == "restart_due":
                 self._spawn_worker(handle)
                 self.telemetry.run_marker(
                     "worker_restarted", rank=handle.rank, step=self._step
                 )
+            else:
+                pending.extend(self._fail_worker(handle, event, outstanding))
 
-    def _broadcast_params(self, handles: Sequence[_WorkerHandle]) -> None:
+    def _broadcast_params(self, handles: Sequence[WorkerHandle]) -> None:
         payload = None
         for handle in handles:
-            if handle.params_version_sent == self._params_version or handle.conn is None:
+            if self._params_sent.get(handle.rank) == self._params_version:
                 continue
             if payload is None:
                 payload = self.model.state_dict()
-            try:
-                handle.conn.send(("params", payload))
-                handle.params_version_sent = self._params_version
-            except (BrokenPipeError, OSError):
-                pass  # the next supervision pass reaps it
+            if self._workers.send(handle, ("params", payload)):
+                self._params_sent[handle.rank] = self._params_version
 
     def _dispatch(self, pending: deque, outstanding: dict) -> None:
         """Assign every pending micro-batch to the live membership."""
-        live = sorted(self._live_handles(), key=lambda h: h.rank)
+        live = self._workers.live()
         if not live:
             return
         self._broadcast_params(live)
@@ -649,9 +448,7 @@ class ElasticTrainer:
         while pending:
             epoch, slot, indices = pending.popleft()
             handle = by_rank[plan.owner_of(slot)]
-            try:
-                handle.conn.send(("compute", epoch, slot, indices))
-            except (BrokenPipeError, OSError):
+            if not self._workers.send(handle, ("compute", epoch, slot, indices)):
                 pending.appendleft((epoch, slot, indices))
                 return  # reaped next supervision pass, then re-dispatched
             outstanding.setdefault(handle.rank, {})[slot] = (epoch, slot, indices)
@@ -660,51 +457,27 @@ class ElasticTrainer:
         self, outstanding: dict, pending: deque, results: dict, nan_counts: dict
     ) -> None:
         """Read every message currently available on worker pipes."""
-        conns = {
-            handle.conn: handle
-            for handle in self._live_handles()
-            if handle.conn is not None
-        }
-        if not conns:
-            time.sleep(self.elastic.poll_interval)
-            return
-        ready = mp_connection.wait(list(conns), timeout=self.elastic.poll_interval)
-        for conn in ready:
-            handle = conns[conn]
-            while True:
-                try:
-                    if not conn.poll():
-                        break
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    # Pipe gone: the liveness check next pass reaps the rank.
-                    break
-                kind = message[0]
-                if kind in ("hb", "hello"):
-                    handle.last_heartbeat = time.monotonic()
-                    if kind == "hb" and len(message) > 2:
-                        handle.rss_bytes = int(message[2])
-                elif kind == "grad":
-                    _, rank, slot, grads, loss_sum, tokens, seconds = message
-                    handle.last_heartbeat = time.monotonic()
-                    item = outstanding.get(rank, {}).pop(slot, None)
-                    if not _contribution_finite(grads, loss_sum):
-                        self._record_nonfinite(slot, nan_counts)
-                        # Corruption: kill the worker, recompute the slot
-                        # elsewhere (bit-exactly — see module docstring).
-                        if item is not None:
-                            pending.append(item)
-                        pending.extend(
-                            self._fail_worker(handle, "corrupt_gradient", outstanding)
-                        )
-                        break
-                    results[slot] = (grads, loss_sum, tokens, seconds, rank)
-                elif kind == "error":
-                    self.telemetry.log(
-                        f"[elastic] worker {handle.rank} raised:\n{message[2]}"
+        for handle, message in self._workers.messages():
+            kind = message[0]
+            if kind == "grad":
+                _, rank, slot, grads, loss_sum, tokens, seconds = message
+                item = outstanding.get(rank, {}).pop(slot, None)
+                if not _contribution_finite(grads, loss_sum):
+                    self._record_nonfinite(slot, nan_counts)
+                    # Corruption: kill the worker, recompute the slot
+                    # elsewhere (bit-exactly — see module docstring).
+                    if item is not None:
+                        pending.append(item)
+                    pending.extend(
+                        self._fail_worker(handle, "corrupt_gradient", outstanding)
                     )
-                    pending.extend(self._fail_worker(handle, "exception", outstanding))
-                    break
+                    continue
+                results[slot] = (grads, loss_sum, tokens, seconds, rank)
+            elif kind == "error":
+                self.telemetry.log(
+                    f"[elastic] worker {handle.rank} raised:\n{message[2]}"
+                )
+                pending.extend(self._fail_worker(handle, "exception", outstanding))
 
     def _record_nonfinite(self, slot: int, nan_counts: dict, fatal: bool = False) -> None:
         """A NaN/inf gradient arrived: corruption once, divergence twice.
@@ -743,11 +516,11 @@ class ElasticTrainer:
         want = len(slot_items)
         while len(results) < want:
             self._supervise(outstanding, pending)
-            if self._live_handles():
+            if self._workers.live():
                 self._dispatch(pending, outstanding)
                 self._drain_ready(outstanding, pending, results, nan_counts)
                 continue
-            if any(h.status == "backoff" for h in self._handles.values()):
+            if self._workers.healing:
                 # Restarts are due shortly; wait for the pool to heal.
                 time.sleep(self.elastic.poll_interval)
                 continue
@@ -881,34 +654,19 @@ class ElasticTrainer:
     # ------------------------------------------------------------------
     # Signals
     # ------------------------------------------------------------------
-    @contextmanager
-    def _signal_guard(self):
-        if (
-            self.resilience is None
-            or not self.resilience.handle_signals
-            or threading.current_thread() is not threading.main_thread()
-        ):
-            yield
-            return
+    @property
+    def _interrupt_signum(self) -> int | None:
+        """The latched SIGINT/SIGTERM not yet acted on (settable)."""
+        return self._guard.signum
 
-        def _flag(signum, frame):  # noqa: ARG001 - signal handler signature
-            self._interrupt_signum = signum
-
-        previous = {
-            sig: signal_module.signal(sig, _flag)
-            for sig in (signal_module.SIGINT, signal_module.SIGTERM)
-        }
-        try:
-            yield
-        finally:
-            for sig, handler in previous.items():
-                signal_module.signal(sig, handler)
+    @_interrupt_signum.setter
+    def _interrupt_signum(self, signum: int | None) -> None:
+        self._guard.signum = signum
 
     def _check_interrupt(self, epoch: int, steps_done: int, accum: dict) -> None:
-        if self._interrupt_signum is None:
+        signum, self._interrupt_signum = self._interrupt_signum, None
+        if signum is None:
             return
-        signum = self._interrupt_signum
-        self._interrupt_signum = None
         self.telemetry.run_marker(
             "interrupt", signum=signum, epoch=epoch, steps_done=steps_done
         )
@@ -975,25 +733,27 @@ class ElasticTrainer:
                 self._store = store
             resume_state = store.latest_valid()
 
-        with self._signal_guard():
-            try:
-                self._spawn_pool()
-                while True:
-                    try:
-                        return self._run(resume_state)
-                    except TrainingDiverged as exc:
-                        recovered = (
-                            self._attempt_recovery(exc)
-                            if getattr(exc, "allow_recovery", True)
-                            else None
-                        )
-                        if recovered is None:
-                            exc.recovery_log = list(self._recovery_events)
-                            self.history.events = list(self._recovery_events)
-                            raise
-                        resume_state = recovered
-            finally:
-                self.shutdown()
+        if self.resilience is not None and self.resilience.handle_signals:
+            self._guard.install()
+        try:
+            self._spawn_pool()
+            while True:
+                try:
+                    return self._run(resume_state)
+                except TrainingDiverged as exc:
+                    recovered = (
+                        self._attempt_recovery(exc)
+                        if getattr(exc, "allow_recovery", True)
+                        else None
+                    )
+                    if recovered is None:
+                        exc.recovery_log = list(self._recovery_events)
+                        self.history.events = list(self._recovery_events)
+                        raise
+                    resume_state = recovered
+        finally:
+            self._guard.restore()
+            self.shutdown()
 
     def _run(self, resume_state: tuple[dict, dict] | None) -> TrainingHistory:
         config = self.config
@@ -1072,18 +832,11 @@ class ElasticTrainer:
                     self._step += 1
                     step_wall = time.perf_counter() - step_start
                     busy = sum(r[3] for r in results.values())
-                    world = max(1, len(self._live_handles())) if self.elastic.workers else 1
-                    now = time.monotonic()
-                    emit_worker_pool(
+                    world = max(1, len(self._workers.live())) if self.elastic.workers else 1
+                    self._workers.emit_gauges(
                         telemetry,
                         "elastic",
-                        {
-                            h.rank: now - h.last_heartbeat
-                            for h in self._live_handles()
-                        },
-                        world_size=len(self._live_handles()),
                         efficiency=scaling_efficiency(busy, step_wall, world),
-                        rss_bytes=self.worker_rss,
                     )
                     telemetry.observe("elastic.step_seconds", step_wall)
                     self._check_interrupt(epoch, step_in_epoch + 1, accum)
@@ -1129,9 +882,8 @@ class ElasticTrainer:
                         stop = True
 
             epoch_end_path = self._snapshot("epoch_end", epoch, 0)
-            if self._interrupt_signum is not None:
-                signum = self._interrupt_signum
-                self._interrupt_signum = None
+            signum, self._interrupt_signum = self._interrupt_signum, None
+            if signum is not None:
                 raise TrainingInterrupted(
                     f"received signal {signum} after epoch {epoch}; "
                     + (

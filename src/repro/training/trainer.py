@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import math
 import os
-import signal as signal_module
-import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,6 +36,7 @@ from repro.observability import (
 from repro.optim import SGD, HalveAtEpoch, NonFiniteGradError, clip_grad_norm
 from repro.optim.optimizers import Optimizer
 from repro.optim.schedules import Schedule
+from repro.runtime.supervisor import DrainGuard
 from repro.tensor.anomaly import NumericalAnomaly, detect_anomaly
 from repro.tensor.core import no_grad
 from repro.tensor.lazy import fusion_context
@@ -254,7 +253,7 @@ class Trainer:
         self._recovery_events: list[RecoveryEvent] = []
         self._pending_backoff: float | None = None
         self._finished = False
-        self._interrupt_signum: int | None = None
+        self._guard = DrainGuard()
         self._epoch_start_iter_state: dict | None = None
         self._resume_accum: dict | None = None
 
@@ -453,35 +452,10 @@ class Trainer:
     # ------------------------------------------------------------------
     # Signals
     # ------------------------------------------------------------------
-    @contextmanager
-    def _signal_guard(self):
-        """Route SIGINT/SIGTERM to a graceful-snapshot flag while training."""
-        if (
-            self.resilience is None
-            or not self.resilience.handle_signals
-            or threading.current_thread() is not threading.main_thread()
-        ):
-            yield
-            return
-
-        def _flag(signum, frame):  # noqa: ARG001 - signal handler signature
-            self._interrupt_signum = signum
-
-        previous = {
-            sig: signal_module.signal(sig, _flag)
-            for sig in (signal_module.SIGINT, signal_module.SIGTERM)
-        }
-        try:
-            yield
-        finally:
-            for sig, handler in previous.items():
-                signal_module.signal(sig, handler)
-
     def _check_interrupt(self, epoch: int, batch_cursor: int, accum: dict) -> None:
-        if self._interrupt_signum is None:
+        signum, self._guard.signum = self._guard.signum, None
+        if signum is None:
             return
-        signum = self._interrupt_signum
-        self._interrupt_signum = None
         self.telemetry.run_marker("interrupt", signum=signum, epoch=epoch, batch=batch_cursor)
         path = self._snapshot("interrupt", epoch, batch_cursor, accum)
         raise TrainingInterrupted(
@@ -594,7 +568,10 @@ class Trainer:
                 self._store = store
             resume_state = store.latest_valid()
 
-        with self._signal_guard():
+        if self.resilience is not None and self.resilience.handle_signals:
+            # SIGINT/SIGTERM latch into a graceful-snapshot flag.
+            self._guard.install()
+        try:
             while True:
                 try:
                     return self._run(resume_state)
@@ -609,6 +586,8 @@ class Trainer:
                         self.history.events = list(self._recovery_events)
                         raise
                     resume_state = recovered
+        finally:
+            self._guard.restore()
 
     # ------------------------------------------------------------------
     def _run(self, resume_state: tuple[dict, dict] | None) -> TrainingHistory:
@@ -764,12 +743,11 @@ class Trainer:
 
             self._finished = stop or epoch == config.epochs
             epoch_end_path = self._snapshot("epoch_end", epoch, 0, self._zero_accum())
-            if self._interrupt_signum is not None:
+            signum, self._guard.signum = self._guard.signum, None
+            if signum is not None:
                 # The epoch-end snapshot just written IS the graceful
                 # snapshot; writing an "interrupt" one at the same step
                 # would shadow it with a mid-epoch-looking cursor.
-                signum = self._interrupt_signum
-                self._interrupt_signum = None
                 raise TrainingInterrupted(
                     f"received signal {signum} after epoch {epoch}; "
                     + (

@@ -336,5 +336,3 @@ def test_pool_config_validation():
         PoolConfig(heartbeat_interval=2.0, worker_timeout=1.0)
     with pytest.raises(ValueError):
         PoolConfig(max_in_flight_per_worker=0)
-    with pytest.raises(ValueError):
-        PoolConfig(start_method="not-a-method")

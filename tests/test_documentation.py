@@ -11,7 +11,7 @@ import repro
 PACKAGES = [
     "repro", "repro.tensor", "repro.nn", "repro.optim", "repro.data",
     "repro.models", "repro.decoding", "repro.metrics", "repro.training",
-    "repro.evaluation", "repro.experiments",
+    "repro.evaluation", "repro.experiments", "repro.runtime", "repro.serving",
 ]
 
 

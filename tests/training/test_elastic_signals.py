@@ -1,14 +1,18 @@
-"""Ctrl-C on the elastic pool: one graceful snapshot, no orphans.
+"""Ctrl-C or SIGTERM on the elastic pool: one graceful snapshot, no orphans.
 
-A terminal SIGINT goes to the whole foreground process group — coordinator
-AND workers. Workers mask SIGINT (:func:`repro.training.elastic
-.mask_worker_signals`), so only the coordinator reacts: it finishes the
-in-flight optimizer step, writes exactly ONE final "interrupt" snapshot,
-and shuts the pool down. This test drives a real training process from
-outside and asserts that contract end to end.
+A terminal SIGINT (or a ``kill`` of the group) goes to the whole process
+group — coordinator AND workers. Workers ignore both signals
+(:func:`repro.runtime.supervisor.mask_worker_signals`), so only the
+coordinator reacts: it finishes the in-flight optimizer step, writes
+exactly ONE final "interrupt" snapshot, and shuts the pool down without
+counting a single worker death. This test drives a real training process
+from outside and asserts that contract end to end.
 """
 
 import os
+import signal
+
+import pytest
 
 from faults import (
     assert_no_orphans,
@@ -75,6 +79,7 @@ trainer = ElasticTrainer(
 try:
     trainer.train()
 except TrainingInterrupted as exc:
+    print(f"DEATHS {trainer.worker_deaths}", flush=True)
     print(f"INTERRUPTED snapshot={exc.snapshot_path}", flush=True)
     assert trainer.live_worker_pids() == [], "pool not shut down on interrupt"
     sys.exit(130)
@@ -83,7 +88,8 @@ sys.exit(1)
 """
 
 
-def test_sigint_on_pool_yields_one_graceful_snapshot(tmp_path):
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_sigint_on_pool_yields_one_graceful_snapshot(tmp_path, sig):
     snap_dir = tmp_path / "snaps"
     env = {"PYTHONPATH": os.path.join(REPO_ROOT, "src")}
     process = spawn_process(
@@ -94,7 +100,7 @@ def test_sigint_on_pool_yields_one_graceful_snapshot(tmp_path):
         workers = descendant_pids(process.pid)
         assert len(workers) >= 2, "worker pool never came up"
 
-        interrupt_group(process)
+        interrupt_group(process, sig)
         output = wait_for_marker(process, "INTERRUPTED", timeout=60.0)
         assert process.wait(timeout=60.0) == 130
     finally:
@@ -102,13 +108,13 @@ def test_sigint_on_pool_yields_one_graceful_snapshot(tmp_path):
             process.kill()
             process.wait(timeout=30.0)
 
-    # The whole group got SIGINT, yet nothing survived the coordinator.
+    # The whole group got the signal, yet nothing survived the coordinator.
     assert_no_orphans(workers + [process.pid])
 
     # Exactly one graceful final snapshot: the coordinator writes either a
     # mid-epoch "interrupt" snapshot or — when the signal lands on the epoch
     # boundary — hands back the just-written "epoch_end" one. The workers
-    # (who also received the SIGINT) never write a competing copy, so every
+    # (who also received the signal) never write a competing copy, so every
     # snapshot on disk is a coordinator phase and at most one is "interrupt".
     store = SnapshotStore(snap_dir)
     phases = [store.load_step(step)[1]["phase"] for step in store.list_steps()]
@@ -118,3 +124,5 @@ def test_sigint_on_pool_yields_one_graceful_snapshot(tmp_path):
     assert latest is not None
     assert latest[1]["phase"] in {"interrupt", "epoch_end"}
     assert "INTERRUPTED snapshot=None" not in "\n".join(output)
+    # Workers ignored the group signal: none died, none was restarted.
+    assert "DEATHS 0" in output
