@@ -18,7 +18,7 @@ from conftest import write_result
 
 from repro.data import BatchIterator, QGDataset, collate, generate_corpus
 from repro.data.synthetic import SyntheticConfig
-from repro.decoding import batched_beam_decode, beam_decode, beam_decode_example
+from repro.decoding import batched_beam_decode, beam_decode_example
 from repro.metrics import corpus_bleu, corpus_rouge_l
 from repro.models import ModelConfig, build_model
 from repro.nn import GlobalAttention, LSTMCell
@@ -97,7 +97,7 @@ def test_acnn_loss_forward_only(benchmark, micro_setup):
 def test_beam_decode_batch(benchmark, micro_setup):
     model, dataset, _ = micro_setup
     small = collate(dataset.encoded[:8], pad_id=0)
-    benchmark(lambda: beam_decode(model, small, beam_size=3, max_length=12))
+    benchmark(lambda: batched_beam_decode(model, small, beam_size=3, max_length=12))
 
 
 def _per_example_beam(model, batch, beam_size, max_length):
@@ -281,13 +281,13 @@ def test_acnn_loss_tape_node_count(benchmark, micro_setup):
 
 
 def test_fusion_throughput_report(micro_setup, results_dir):
-    """Staged execution (lazy trace + fused kernels + arena replay) vs eager.
+    """Fused single-node kernels (inside ``lazy()``) vs the eager tape.
 
-    Micro configs replay the attention kernel and a chained LSTM cell step
-    under ``lazy() + no_grad`` against the elementary eager chain; decode
-    configs run greedy and batched-beam decode with ``fusion`` on vs off.
-    Results go to ``results/fusion_throughput.txt`` and the repo-root
-    ``BENCH_tensor_fusion.json``. Acceptance bar (ISSUE 6): >= 2x on at
+    Micro configs run the attention layer as one fused node, under
+    ``no_grad`` and under gradients, against the elementary eager chain;
+    decode configs run greedy and batched-beam decode inside ``lazy()``
+    vs outside it. Results go to ``results/fusion_throughput.txt`` and the
+    repo-root ``BENCH_tensor_fusion.json``. Acceptance bar: >= 2x on at
     least one configuration, with byte-identical decode outputs.
     """
     import json
@@ -309,7 +309,7 @@ def test_fusion_throughput_report(micro_setup, results_dir):
 
     configs = []
 
-    # --- micro: fused attention replay vs elementary eager chain --------
+    # --- micro: fused attention node under no_grad vs eager chain ------
     attention = GlobalAttention(48, 96, rng)
     d = Tensor(rng.standard_normal((32, 48)))
     h = Tensor(rng.standard_normal((32, 100, 96)))
@@ -327,18 +327,18 @@ def test_fusion_throughput_report(micro_setup, results_dir):
             for _ in range(steps):
                 attention(d, h, pad_mask=mask)
 
-    attention_fused()  # warm the arena before timing
+    attention_fused()  # warm up before timing
     configs.append(
         {
-            "name": "attention_kernel_replay",
-            "detail": f"batch=32 time=100 enc=96, {steps} replayed steps",
+            "name": "attention_no_grad_fused_node",
+            "detail": f"batch=32 time=100 enc=96, {steps} no_grad steps",
             "eager_seconds": best_of(attention_eager),
             "fused_seconds": best_of(attention_fused),
         }
     )
 
     # --- micro: fused single-node attention, forward + backward ---------
-    # This is what TrainerConfig.fusion toggles: the whole score→mask→
+    # This is what ``--fusion`` toggles in training: the whole score→mask→
     # softmax→context chain as one tape node with a hand-written BLAS
     # backward, vs ~12 elementary nodes each materializing (B, T, E)
     # temporaries in both directions.
@@ -349,11 +349,9 @@ def test_fusion_throughput_report(micro_setup, results_dir):
     gmask[:, 0] = False
 
     def attention_grad(fused):
-        from repro.tensor import lazy as lazy_ctx
-
         for _ in range(20):
             if fused:
-                with lazy_ctx():
+                with lazy():
                     context, weights = grad_attention(gd, gh, pad_mask=gmask)
             else:
                 context, weights = grad_attention(gd, gh, pad_mask=gmask)
@@ -373,83 +371,42 @@ def test_fusion_throughput_report(micro_setup, results_dir):
         }
     )
 
-    # --- micro: LSTM cell step chain ------------------------------------
-    cell = LSTMCell(48, 48, rng)
-    xs = [Tensor(rng.standard_normal((64, 48))) for _ in range(50)]
-
-    def lstm_chain():
-        state = cell.initial_state(64)
-        for x in xs:
-            state = cell(x, state)
-
-    def lstm_eager():
-        with no_grad():
-            lstm_chain()
-
-    def lstm_fused():
-        with lazy(), no_grad():
-            lstm_chain()
-
-    lstm_fused()
-    configs.append(
-        {
-            "name": "lstm_cell_chain_replay",
-            "detail": "batch=64 hidden=48, 50 chained steps",
-            "eager_seconds": best_of(lstm_eager),
-            "fused_seconds": best_of(lstm_fused),
-        }
-    )
-
-    # --- decode: greedy and batched beam, fusion flag on vs off ---------
+    # --- decode: greedy and batched beam, inside lazy() vs outside ------
     batch = collate(dataset.encoded[:16], pad_id=0)
-    greedy_off = greedy_decode(model, batch, max_length=16, fusion=False)
-    greedy_on = greedy_decode(model, batch, max_length=16, fusion=True)
-    assert [h.token_ids for h in greedy_off] == [h.token_ids for h in greedy_on]
-    configs.append(
-        {
-            "name": "greedy_decode",
-            "detail": "acnn batch=16 max_length=16",
-            "eager_seconds": best_of(
-                lambda: greedy_decode(model, batch, max_length=16, fusion=False)
-            ),
-            "fused_seconds": best_of(
-                lambda: greedy_decode(model, batch, max_length=16, fusion=True)
-            ),
-        }
-    )
 
-    beam_off = batched_beam_decode(model, batch, beam_size=3, max_length=12, fusion=False)
-    beam_on = batched_beam_decode(model, batch, beam_size=3, max_length=12, fusion=True)
-    assert [h.token_ids for h in beam_off] == [h.token_ids for h in beam_on]
-    configs.append(
-        {
-            "name": "batched_beam_decode",
-            "detail": "acnn batch=16 beam=3 max_length=12",
-            "eager_seconds": best_of(
-                lambda: batched_beam_decode(
-                    model, batch, beam_size=3, max_length=12, fusion=False
-                )
-            ),
-            "fused_seconds": best_of(
-                lambda: batched_beam_decode(
-                    model, batch, beam_size=3, max_length=12, fusion=True
-                )
-            ),
-        }
-    )
+    def greedy():
+        return greedy_decode(model, batch, max_length=16)
+
+    def beam():
+        return batched_beam_decode(model, batch, beam_size=3, max_length=12)
+
+    for name, detail, decode in [
+        ("greedy_decode", "acnn batch=16 max_length=16", greedy),
+        ("batched_beam_decode", "acnn batch=16 beam=3 max_length=12", beam),
+    ]:
+        fused_decode = lazy()(decode)
+        assert [h.token_ids for h in decode()] == [h.token_ids for h in fused_decode()]
+        configs.append(
+            {
+                "name": name,
+                "detail": detail,
+                "eager_seconds": best_of(decode),
+                "fused_seconds": best_of(fused_decode),
+            }
+        )
 
     for config in configs:
         config["speedup"] = round(config["eager_seconds"] / config["fused_seconds"], 2)
 
     lines = [
-        "staged execution throughput: lazy + fused kernels + arena replay vs eager",
+        "kernel fusion throughput: lazy() fused single-node kernels vs eager",
         "best-of-5 wall clock per configuration",
         "",
-        f"{'config':<26} {'eager (s)':>10} {'fused (s)':>10} {'speedup':>8}",
+        f"{'config':<28} {'eager (s)':>10} {'fused (s)':>10} {'speedup':>8}",
     ]
     for config in configs:
         lines.append(
-            f"{config['name']:<26} {config['eager_seconds']:>10.4f} "
+            f"{config['name']:<28} {config['eager_seconds']:>10.4f} "
             f"{config['fused_seconds']:>10.4f} {config['speedup']:>7.2f}x"
         )
     write_result(results_dir, "fusion_throughput.txt", "\n".join(lines) + "\n")
@@ -457,12 +414,12 @@ def test_fusion_throughput_report(micro_setup, results_dir):
     report = {
         "benchmark": "tensor_fusion",
         "description": (
-            "lazy()/compile_graph staged execution with fused LSTM/attention/"
-            "pointer kernels and arena replay, vs per-op eager dispatch"
+            "lazy() fused single-node attention/pointer kernels vs per-op "
+            "eager dispatch"
         ),
         "command": "PYTHONPATH=src python -m pytest benchmarks/bench_micro.py -k fusion_throughput",
         "timing": "best of 5",
-        "equivalence": "decode outputs byte-identical fusion on vs off",
+        "equivalence": "decode outputs byte-identical inside lazy() vs outside",
         "configs": configs,
         "max_speedup": max(config["speedup"] for config in configs),
     }

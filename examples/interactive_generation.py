@@ -22,7 +22,7 @@ from repro.data import (
     tokenize,
 )
 from repro.data.batching import collate
-from repro.decoding import beam_decode, extended_ids_to_tokens
+from repro.decoding import batched_beam_decode, extended_ids_to_tokens
 from repro.models import ModelConfig, build_model
 from repro.training import Trainer, TrainerConfig
 
@@ -59,7 +59,7 @@ def generate(model, encoder_vocab, decoder_vocab, sentence: str) -> str:
     example = QGExample(sentence=tokens, paragraph=tokens, question=("?",))
     dataset = QGDataset([example], encoder_vocab, decoder_vocab)
     batch = collate(list(dataset), pad_id=0)
-    hypothesis = beam_decode(model, batch, beam_size=3, max_length=20)[0]
+    hypothesis = batched_beam_decode(model, batch, beam_size=3, max_length=20)[0]
     out_tokens = extended_ids_to_tokens(
         hypothesis.token_ids, decoder_vocab, batch.examples[0].oov_tokens
     )

@@ -11,7 +11,7 @@ decoder vocabulary (the paper's headline capability).
 """
 
 from repro.data import BatchIterator, QGDataset, SyntheticConfig, detokenize, generate_corpus
-from repro.decoding import beam_decode, extended_ids_to_tokens
+from repro.decoding import batched_beam_decode, extended_ids_to_tokens
 from repro.data.batching import collate
 from repro.models import ModelConfig, build_model
 from repro.training import Trainer, TrainerConfig
@@ -53,7 +53,7 @@ def main() -> None:
 
     print("3. generating questions for unseen test sentences (beam=3):")
     batch = collate(test_set.encoded[:6], pad_id=0)
-    hypotheses = beam_decode(model, batch, beam_size=3, max_length=20)
+    hypotheses = batched_beam_decode(model, batch, beam_size=3, max_length=20)
     for hypothesis, encoded in zip(hypotheses, batch.examples):
         tokens = extended_ids_to_tokens(hypothesis.token_ids, decoder_vocab, encoded.oov_tokens)
         copied = [t for t in tokens if t not in decoder_vocab]

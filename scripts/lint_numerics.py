@@ -43,7 +43,7 @@ DEFAULT_TARGET = REPO_ROOT / "src" / "repro"
 BLESSED = {Path("src/repro/nn/numerics.py")}
 
 #: Fused-kernel files where waivers do NOT excuse raw transcendental calls.
-#: These run inside arena replay, where a silent NaN has no tape node to
+#: A fused node's internals have no per-op tape node for anomaly mode to
 #: blame — every log/exp/sqrt must route through repro.nn.numerics so the
 #: guarded kernels (np_fast_sigmoid, np_stable_softmax, np_safe_*) are the
 #: only transcendental code paths.

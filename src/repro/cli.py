@@ -44,7 +44,7 @@ from repro.data import (
     tokenize,
     vocabulary_coverage,
 )
-from repro.decoding import beam_decode, extended_ids_to_tokens
+from repro.decoding import batched_beam_decode, extended_ids_to_tokens
 from repro.evaluation import analyse_predictions, evaluate_model
 from repro.models import ModelConfig, build_model
 from repro.observability import JsonlSink, Telemetry, TerminalSink
@@ -66,8 +66,8 @@ def _add_fusion_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fusion",
         action="store_true",
-        help="enable lazy kernel fusion (staged execution with arena "
-        "replay; identical outputs, fewer Python-level ops per step)",
+        help="enable kernel fusion (fused attention/copy kernels; "
+        "identical outputs, fewer Python-level ops per step)",
     )
 
 
@@ -452,7 +452,7 @@ def _cmd_generate(args) -> int:
         example = QGExample(sentence=tokens, paragraph=tokens, question=("?",))
         dataset = QGDataset([example], bundle.encoder_vocab, bundle.decoder_vocab)
         batch = collate(list(dataset), pad_id=0)
-        hypothesis = beam_decode(
+        hypothesis = batched_beam_decode(
             bundle.model, batch, beam_size=args.beam_size, max_length=args.max_length
         )[0]
         question = extended_ids_to_tokens(

@@ -1,7 +1,7 @@
 """Decoding: greedy and beam search over the incremental model interface."""
 
 from repro.decoding.batched_beam import batched_beam_decode, batched_beam_search
-from repro.decoding.beam import beam_decode, beam_decode_example
+from repro.decoding.beam import beam_decode_example
 from repro.decoding.greedy import greedy_decode
 from repro.decoding.hypothesis import Hypothesis, extended_ids_to_tokens
 from repro.decoding.nbest import beam_decode_nbest
@@ -11,7 +11,6 @@ from repro.decoding.sampling import sample_decode
 __all__ = [
     "batched_beam_decode",
     "batched_beam_search",
-    "beam_decode",
     "beam_decode_example",
     "greedy_decode",
     "Hypothesis",

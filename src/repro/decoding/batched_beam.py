@@ -56,7 +56,6 @@ from repro.models.base import (
 )
 from repro.observability import Telemetry, emit_gate_statistics, get_telemetry, nonfinite_sentinel
 from repro.tensor.core import no_grad
-from repro.tensor.lazy import compile_graph, resolve_fusion
 
 __all__ = [
     "NON_VIABLE_FLOOR",
@@ -183,17 +182,8 @@ def batched_beam_search(
     length_penalty: float = 1.0,
     telemetry: Telemetry | None = None,
     deadline=None,
-    fusion: bool | None = None,
 ) -> list[list[Hypothesis]]:
     """Beam-decode every example simultaneously; returns ranked pools.
-
-    ``fusion`` opts the step loop into lazy kernel fusion
-    (:mod:`repro.tensor.lazy`): the step function is staged with
-    :func:`~repro.tensor.lazy.compile_graph`, so the first step per shape
-    signature traces the op graph and later steps replay through
-    preallocated arena buffers. ``None`` defers to the process-wide
-    default (``set_fusion_enabled``); hypotheses are identical either way
-    (the fused kernels are byte-identical to the eager tape).
 
     The result has one list per example, sorted best-first by normalized
     score (ties keep finish order). Pools hold the finished hypotheses the
@@ -224,10 +214,6 @@ def batched_beam_search(
     steps_run = 0
     tokens_generated = 0
 
-    step_fn = model.step_log_probs
-    if resolve_fusion(fusion):
-        step_fn = compile_graph(step_fn)
-
     model.eval()
     with no_grad(), tel.span(
         "decode.batch", extra={"examples": batch.size, "beam_size": beam_size}
@@ -254,7 +240,7 @@ def batched_beam_search(
                 break
             if deadline is not None:
                 deadline.check()
-            step_lp, new_state = step_fn(prev, state, expanded)
+            step_lp, new_state = model.step_log_probs(prev, state, expanded)
             steps_run += 1
             nan_rows = np.isnan(step_lp).any(axis=1)
             if nan_rows.any():
@@ -357,7 +343,6 @@ def batched_beam_decode(
     length_penalty: float = 1.0,
     telemetry: Telemetry | None = None,
     deadline=None,
-    fusion: bool | None = None,
 ) -> list[Hypothesis]:
     """Best hypothesis per example, via the batch-parallel engine."""
     pools = batched_beam_search(
@@ -368,6 +353,5 @@ def batched_beam_decode(
         length_penalty=length_penalty,
         telemetry=telemetry,
         deadline=deadline,
-        fusion=fusion,
     )
     return [pool[0] for pool in pools]

@@ -1,12 +1,12 @@
-"""Beam search decoding.
+"""Per-example beam search: the reference oracle for the batched engine.
 
-The paper sets the beam size to 3 at test time. Batch-level decoding
-(:func:`beam_decode`) delegates to the batch-parallel engine in
-:mod:`repro.decoding.batched_beam`, which decodes every example of the
-batch simultaneously. :func:`beam_decode_example` remains for single-example
-use (interactive generation, introspection); it drives the *same* canonical
-candidate walk and stopping rule as the engine, so the two paths return
-identical hypotheses:
+The paper sets the beam size to 3 at test time. Batch-level decoding is
+:func:`repro.decoding.batched_beam.batched_beam_decode`, which decodes
+every example of the batch simultaneously. :func:`beam_decode_example`
+decodes one example at a time; it drives the *same* canonical candidate
+walk and stopping rule as the engine, so the two paths return identical
+hypotheses (the batched-beam tests and the decode-throughput baseline
+compare against it):
 
 - expand every live hypothesis by the full extended vocabulary;
 - keep the top ``beam_size`` viable continuations, widening the candidate
@@ -21,39 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.batching import Batch
 from repro.data.vocabulary import BOS_ID, EOS_ID, PAD_ID
-from repro.decoding.batched_beam import (
-    batched_beam_decode,
-    select_step_candidates,
-    should_stop_row,
-)
+from repro.decoding.batched_beam import select_step_candidates, should_stop_row
 from repro.decoding.hypothesis import Hypothesis
 from repro.models.base import EncoderContext, QuestionGenerator
 from repro.tensor.core import no_grad
 
-__all__ = ["beam_decode", "beam_decode_example"]
-
-
-def beam_decode(
-    model: QuestionGenerator,
-    batch: Batch,
-    beam_size: int = 3,
-    max_length: int = 30,
-    length_penalty: float = 1.0,
-) -> list[Hypothesis]:
-    """Beam-decode every example in the batch; returns the best hypothesis each.
-
-    Runs the batch-parallel engine: one ``step_log_probs`` call per step for
-    the whole ``(B * beam_size,)`` frontier instead of a per-example loop.
-    """
-    return batched_beam_decode(
-        model,
-        batch,
-        beam_size=beam_size,
-        max_length=max_length,
-        length_penalty=length_penalty,
-    )
+__all__ = ["beam_decode_example"]
 
 
 def beam_decode_example(

@@ -9,7 +9,6 @@ from repro.data.vocabulary import BOS_ID, EOS_ID, PAD_ID
 from repro.decoding.hypothesis import Hypothesis
 from repro.models.base import NonFiniteLogits, QuestionGenerator
 from repro.tensor.core import no_grad
-from repro.tensor.lazy import compile_graph, resolve_fusion
 
 __all__ = ["greedy_decode"]
 
@@ -19,7 +18,6 @@ def greedy_decode(
     batch: Batch,
     max_length: int = 30,
     deadline=None,
-    fusion: bool | None = None,
 ) -> list[Hypothesis]:
     """Decode every example in the batch greedily.
 
@@ -30,16 +28,7 @@ def greedy_decode(
     (an object with ``check()``, consulted before the encode and once per
     step); a NaN decode step raises the typed
     :class:`~repro.models.base.NonFiniteLogits`.
-
-    ``fusion`` stages the step loop through
-    :func:`~repro.tensor.lazy.compile_graph` (trace once per shape
-    signature, replay through arena buffers); ``None`` defers to the
-    process-wide default. Outputs are identical either way.
     """
-    step_fn = model.step_log_probs
-    if resolve_fusion(fusion):
-        step_fn = compile_graph(step_fn)
-
     model.eval()
     with no_grad():
         if deadline is not None:
@@ -56,7 +45,7 @@ def greedy_decode(
         for step in range(max_length):
             if deadline is not None:
                 deadline.check()
-            step_lp, state = step_fn(prev, state, context)
+            step_lp, state = model.step_log_probs(prev, state, context)
             nan_rows = np.isnan(step_lp).any(axis=1)
             if nan_rows.any():
                 raise NonFiniteLogits("step_log_probs", step=step, rows=int(nan_rows.sum()))

@@ -88,7 +88,7 @@ def _nbest_for_example(
             live[source].extended(token, token_lp, finished=False)
             for source, token, token_lp in continuations
         ]
-        # Same stopping rule as beam_decode (optimistic live bound), but the
+        # Same stopping rule as the beam engine (optimistic live bound), but the
         # pool must cover the requested n-best depth before stopping.
         if should_stop_row(
             finished,

@@ -43,7 +43,7 @@ from repro.nn.loss import PROBABILITY_FLOOR
 from repro.nn.functional import fused_pointer_probs
 from repro.nn.numerics import np_bernoulli_entropy, np_smoothed_log, saturating_sigmoid
 from repro.tensor.core import Tensor
-from repro.tensor.lazy import fusion_context, is_lazy_enabled
+from repro.tensor.lazy import is_lazy_enabled
 from repro.tensor.ops import (
     concat,
     expand_dims,
@@ -144,10 +144,9 @@ class ACNN(DuAttentionModel):
         """Eq. 3: ``P_cop`` over source positions, padding masked out."""
         projected = self.copy_projection(concat([d_k, c_k], axis=1))  # (B, enc_out)
         if is_lazy_enabled():
-            # Lazy mode: the score→bias→mask→softmax chain runs as one
-            # fused kernel (byte-identical numpy sequence; arena-replayed
-            # under no_grad). The Linear stays eager so its parameters
-            # remain ordinary tape parents.
+            # Fusion on: the score→bias→mask→softmax chain runs as one
+            # fused kernel (byte-identical numpy sequence). The Linear stays
+            # eager so its parameters remain ordinary tape parents.
             return fused_pointer_probs(
                 projected,
                 encoder_states,
@@ -226,14 +225,6 @@ class ACNN(DuAttentionModel):
     # Training (Eq. 1/2: maximize the mixture likelihood of gold tokens)
     # ------------------------------------------------------------------
     def loss(self, batch: Batch) -> Tensor:
-        # Opt-in kernel fusion for the teacher-forced step loop: inside the
-        # context each step's LSTM/attention/copy chains collapse to single
-        # fused tape nodes (byte-identical forward, gradcheck-pinned
-        # backward). A no-op unless fusion was enabled.
-        with fusion_context():
-            return self._teacher_forced_loss(batch)
-
-    def _teacher_forced_loss(self, batch: Batch) -> Tensor:
         context = self.encode(batch)
         states = list(context.initial_states)
         embedded = self.decoder_embedding(batch.tgt_input)

@@ -30,7 +30,6 @@ from repro.models.config import ModelConfig
 from repro.nn import BidirectionalLSTM, Dropout, Embedding, GlobalAttention, Linear, LSTM
 from repro.nn.lstm import State
 from repro.tensor.core import Tensor
-from repro.tensor.lazy import fusion_context
 from repro.tensor.ops import concat, gather_rows, log_softmax, tanh
 
 __all__ = ["DuAttentionModel"]
@@ -151,11 +150,6 @@ class DuAttentionModel(QuestionGenerator):
     # Training
     # ------------------------------------------------------------------
     def loss(self, batch: Batch) -> Tensor:
-        # Opt-in kernel fusion for the step loop (no-op unless enabled).
-        with fusion_context():
-            return self._teacher_forced_loss(batch)
-
-    def _teacher_forced_loss(self, batch: Batch) -> Tensor:
         context = self.encode(batch)
         states = list(context.initial_states)
         embedded = self.decoder_embedding(batch.tgt_input)

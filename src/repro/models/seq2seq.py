@@ -21,7 +21,6 @@ from repro.models.base import (
 from repro.models.config import ModelConfig
 from repro.nn import LSTM, Dropout, Embedding, Linear, cross_entropy
 from repro.tensor.core import Tensor
-from repro.tensor.lazy import fusion_context
 from repro.tensor.ops import log_softmax, softmax
 
 __all__ = ["Seq2SeqBaseline"]
@@ -92,11 +91,6 @@ class Seq2SeqBaseline(QuestionGenerator):
     # Training
     # ------------------------------------------------------------------
     def loss(self, batch: Batch) -> Tensor:
-        # Opt-in kernel fusion for the step loop (no-op unless enabled).
-        with fusion_context():
-            return self._teacher_forced_loss(batch)
-
-    def _teacher_forced_loss(self, batch: Batch) -> Tensor:
         context = self.encode(batch)
         states = list(context.initial_states)
         embedded = self.decoder_embedding(batch.tgt_input)

@@ -95,10 +95,10 @@ class GlobalAttention(Module):
             non-padded positions.
         """
         if coverage is None and is_lazy_enabled():
-            # Lazy mode: the whole score→mask→softmax→context chain runs as
-            # one fused kernel (byte-identical numpy sequence; arena-replayed
-            # under no_grad). Coverage mixes a history tensor into the scores
-            # and keeps the elementary-op path below.
+            # Fusion on: the whole score→mask→softmax→context chain runs as
+            # one fused kernel (byte-identical numpy sequence). Coverage
+            # mixes a history tensor into the scores and keeps the
+            # elementary-op path below.
             from repro.nn.functional import fused_attention
 
             return fused_attention(

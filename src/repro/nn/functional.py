@@ -19,16 +19,11 @@ Two variants:
 Gate layout in the fused weights is ``[input, forget, cell, output]``,
 matching :class:`repro.nn.lstm.LSTMCell`.
 
-Lazy mode (:mod:`repro.tensor.lazy`) extends the same idea one level up:
-
-- inside a ``lazy()`` context with gradients disabled, the single-step
-  LSTM kernels replay through preallocated arena buffers (zero per-step
-  allocation) instead of building even their one tape node;
-- :func:`fused_attention` collapses the attention score→mask→softmax→
-  context chain (~10 tape ops in :class:`repro.nn.attention.GlobalAttention`)
-  into one node with a hand-written backward, and
-  :func:`fused_pointer_probs` does the same for the ACNN Eq. 3 copy-score
-  chain; both gain the arena replay under ``no_grad``.
+With fusion on (:mod:`repro.tensor.lazy`) the same idea extends one level
+up: :func:`fused_attention` collapses the attention score→mask→softmax→
+context chain (~10 tape ops in :class:`repro.nn.attention.GlobalAttention`)
+into one node with a hand-written backward, and :func:`fused_pointer_probs`
+does the same for the ACNN Eq. 3 copy-score chain.
 
 Every kernel performs the same numpy operations in the same order as its
 elementary-op formulation, so forward outputs are byte-identical; the
@@ -44,7 +39,6 @@ import numpy as np
 
 from repro.nn.numerics import np_fast_sigmoid, np_stable_softmax
 from repro.tensor.core import Tensor
-from repro.tensor.lazy import arena_fast_path
 
 __all__ = [
     "lstm_cell_step",
@@ -107,43 +101,6 @@ def _fused_core(
     return out[:, :hidden], out[:, hidden:]
 
 
-def _lstm_step_arena(
-    arena,
-    kid: int,
-    gates: np.ndarray,
-    c_prev: np.ndarray,
-    hidden: int,
-) -> tuple[Tensor, Tensor]:
-    """Arena-replayed elementwise tail of one LSTM step.
-
-    ``gates`` is the ``(B, 4H)`` pre-activation arena buffer (consumed
-    in-place); ``kid`` keys the slots so cells that share shapes (stacked
-    layers, encoder vs decoder) never alias. The op sequence mirrors
-    :func:`_fused_core` exactly — same ufuncs, same order — so the bytes
-    match the eager path. Outputs use ``rotate=2`` buffers: step ``t+1``
-    reads the state written at step ``t`` while writing the other buffer.
-    """
-    i_gate = gates[:, :hidden]
-    f_gate = gates[:, hidden: 2 * hidden]
-    g_gate = gates[:, 2 * hidden: 3 * hidden]
-    o_gate = gates[:, 3 * hidden:]
-    np_fast_sigmoid(i_gate, out=i_gate)
-    np_fast_sigmoid(f_gate, out=f_gate)
-    np.tanh(g_gate, out=g_gate)
-    np_fast_sigmoid(o_gate, out=o_gate)
-
-    batch = gates.shape[0]
-    c_new = arena.buffer(("lstm.c", kid), (batch, hidden), rotate=2)
-    np.multiply(f_gate, c_prev, out=c_new)
-    scratch = arena.buffer(("lstm.ig", kid), (batch, hidden))
-    np.multiply(i_gate, g_gate, out=scratch)
-    c_new += scratch
-    np.tanh(c_new, out=scratch)
-    h_new = arena.buffer(("lstm.h", kid), (batch, hidden), rotate=2)
-    np.multiply(o_gate, scratch, out=h_new)
-    return Tensor(h_new), Tensor(c_new)
-
-
 def lstm_cell_step(
     x: Tensor,
     h_prev: Tensor,
@@ -167,26 +124,7 @@ def lstm_cell_step(
     -------
     h_new, c_new:
         ``(B, H)`` tensors (two views of one fused tape node).
-
-    Inside ``lazy()`` with gradients off (the decode hot path) the whole
-    step replays through arena buffers: the gate matmuls write into a
-    preallocated ``(B, 4H)`` buffer, activations run in-place on its
-    slices, and the new states land in ping-pong buffers — zero per-step
-    allocation after the first (trace) call per shape signature.
     """
-    arena = arena_fast_path()
-    if arena is not None:
-        batch = x.data.shape[0]
-        hidden = h_prev.data.shape[1]
-        kid = id(weight_hh)
-        gates = arena.buffer(("lstm.gates", kid), (batch, 4 * hidden))
-        np.matmul(x.data, weight_ih.data.T, out=gates)
-        hh = arena.buffer(("lstm.hh", kid), (batch, 4 * hidden))
-        np.matmul(h_prev.data, weight_hh.data.T, out=hh)
-        gates += hh
-        gates += bias.data
-        return _lstm_step_arena(arena, kid, gates, c_prev.data, hidden)
-
     gates = x.data @ weight_ih.data.T + h_prev.data @ weight_hh.data.T + bias.data
 
     def input_backward(d_gates: np.ndarray) -> None:
@@ -211,12 +149,6 @@ def lstm_cell_step_preprojected(
 
     Lets a sequence model compute all timesteps' input projections in one
     batched matmul and feed per-step ``(B, 4H)`` slices here.
-
-    Deliberately *not* arena-replayed: the sequence forward collects every
-    timestep's ``h`` and stacks them afterwards, so outputs must outlive
-    the step loop — ping-pong buffers would be overwritten two steps
-    later. The encode pass is one batched matmul plus T cheap steps;
-    the decode loop (``lstm_cell_step``) is where arena replay pays.
     """
     gates = x_projected.data + h_prev.data @ weight_hh.data.T
 
@@ -250,11 +182,9 @@ def fused_attention(
         weights   = softmax(scores, axis=1)             # stable kernel
         context   = (weights[:,:,None] * enc).sum(1)    # (B, E)
 
-    Under gradients this is a single node whose packed output is
-    ``[context ; weights]`` along axis 1, split by two basic slices;
-    the hand-written backward is gradcheck-pinned against the eager
-    chain. Inside ``lazy()`` with gradients off, every intermediate
-    lands in arena buffers (zero per-step allocation on replay).
+    This is a single node whose packed output is ``[context ; weights]``
+    along axis 1, split by two basic slices; the hand-written backward is
+    gradcheck-pinned against the eager chain.
 
     Coverage-mode attention is NOT expressible here (it mixes an
     accumulated history tensor into the scores); callers keep the
@@ -263,26 +193,7 @@ def fused_attention(
     d = decoder_state.data
     enc = encoder_states.data
     W = weight.data
-    batch, src_len, enc_size = enc.shape
-
-    arena = arena_fast_path()
-    if arena is not None:
-        kid = id(weight)
-        projected = arena.buffer(("attn.proj", kid), (batch, enc_size))
-        np.matmul(d, W, out=projected)
-        bte = arena.buffer(("attn.bte", kid), (batch, src_len, enc_size))
-        np.multiply(projected[:, None, :], enc, out=bte)
-        scores = arena.buffer(("attn.scores", kid), (batch, src_len))
-        bte.sum(axis=2, out=scores)
-        np.tanh(scores, out=scores)
-        if pad_mask is not None:
-            scores[pad_mask] = mask_value
-        weights_np = arena.buffer(("attn.weights", kid), (batch, src_len), rotate=2)
-        np_stable_softmax(scores, axis=1, out=weights_np)
-        np.multiply(weights_np[:, :, None], enc, out=bte)
-        context_np = arena.buffer(("attn.context", kid), (batch, enc_size), rotate=2)
-        bte.sum(axis=1, out=context_np)
-        return Tensor(context_np), Tensor(weights_np)
+    enc_size = enc.shape[2]
 
     projected = d @ W  # (B, E)
     raw = (projected[:, None, :] * enc).sum(axis=2)  # (B, T)
@@ -341,26 +252,11 @@ def fused_pointer_probs(
         scores[pad] = mask_value
         probs  = softmax(scores, axis=1)
 
-    Same execution tiers as :func:`fused_attention`: one tape node under
-    gradients (hand-written backward), arena replay under ``no_grad``
-    inside ``lazy()``.
+    One tape node with a hand-written backward, like
+    :func:`fused_attention`.
     """
     p = projected.data
     enc = encoder_states.data
-    batch, src_len, enc_size = enc.shape
-
-    arena = arena_fast_path()
-    if arena is not None:
-        kid = id(score_bias)
-        bte = arena.buffer(("copy.bte", kid), (batch, src_len, enc_size))
-        np.multiply(p[:, None, :], enc, out=bte)
-        scores = arena.buffer(("copy.scores", kid), (batch, src_len))
-        bte.sum(axis=2, out=scores)
-        scores += score_bias.data
-        scores[pad_mask] = mask_value
-        probs_np = arena.buffer(("copy.probs", kid), (batch, src_len), rotate=2)
-        np_stable_softmax(scores, axis=1, out=probs_np)
-        return Tensor(probs_np)
 
     raw = (p[:, None, :] * enc).sum(axis=2)  # (B, S)
     scores = raw + score_bias.data

@@ -135,62 +135,42 @@ def np_safe_div(
     return numerator / np.maximum(denominator, eps)  # numerics: ok — clamped denominator
 
 
-def np_fast_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The LSTM gate sigmoid ``1 / (1 + exp(-x))``, optionally in-place.
+def np_fast_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The LSTM gate sigmoid ``1 / (1 + exp(-x))``.
 
     Bit-for-bit twin of the historical ``repro.nn.functional`` gate
     nonlinearity: ``exp`` overflow for very negative inputs saturates to
     exactly 0.0 (the correct limit; the harmless warning is suppressed),
     and NaN inputs propagate to NaN outputs so anomaly detection still
-    fires. With ``out`` given, every intermediate runs in-place — the
-    arena-replay form used by the fused kernels — producing the same
-    bytes as the allocating form.
+    fires.
     """
     with np.errstate(over="ignore"):
-        if out is None:
-            return 1.0 / (1.0 + np.exp(-x))  # numerics: ok — denominator >= 1; overflow saturates to the correct limit
-        np.negative(x, out=out)
-        np.exp(out, out=out)  # numerics: ok — overflow saturates the sigmoid to exactly 0, the correct limit
-        out += 1.0
-        np.divide(1.0, out, out=out)  # numerics: ok — denominator >= 1 by construction
-        return out
+        return 1.0 / (1.0 + np.exp(-x))  # numerics: ok — denominator >= 1; overflow saturates to the correct limit
 
 
-def np_stable_softmax(
-    scores: np.ndarray, axis: int = -1, out: np.ndarray | None = None
-) -> np.ndarray:
+def np_stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-shifted softmax, byte-identical to :func:`repro.tensor.ops.softmax`.
 
     The numpy-level twin of the tape op's stabilized kernel, for the fused
     kernels and decode paths: the classic max-shift handles arbitrarily
     large finite logits, rows that are entirely ``-inf`` (fully masked)
     return all-zero rows instead of NaN, and NaN / ``+inf`` inputs are
-    *not* laundered — they propagate so divergence stays detectable. With
-    ``out`` given the exponentials and the normalization run in-place
-    (only the per-row max/denominator, ``size / row_length`` elements,
-    allocate). ``tests/nn/test_numerics.py`` pins byte-identity against
-    the tape op on well-conditioned and fully-masked inputs.
+    *not* laundered — they propagate so divergence stays detectable.
+    ``tests/nn/test_numerics.py`` pins byte-identity against the tape op
+    on well-conditioned and fully-masked inputs.
     """
     max_ = scores.max(axis=axis, keepdims=True)
     neginf = np.isneginf(max_)
     if neginf.any():
         max_ = np.where(neginf, 0.0, max_)
-    if out is None:
-        shifted = scores - max_
-        exp_x = np.exp(shifted)  # numerics: ok — max-shifted input <= 0 (or -inf rows)
-    else:
-        np.subtract(scores, max_, out=out)
-        np.exp(out, out=out)  # numerics: ok — max-shifted input <= 0 (or -inf rows)
-        exp_x = out
+    shifted = scores - max_
+    exp_x = np.exp(shifted)  # numerics: ok — max-shifted input <= 0 (or -inf rows)
     denom = exp_x.sum(axis=axis, keepdims=True)
     zero = denom == 0.0
     if zero.any():
         # Fully-masked rows: no mass anywhere; return zeros, not NaN.
         denom = np.where(zero, 1.0, denom)
-    if out is None:
-        return exp_x / denom  # numerics: ok — denominator guarded > 0
-    np.divide(exp_x, denom, out=out)  # numerics: ok — denominator guarded > 0
-    return out
+    return exp_x / denom  # numerics: ok — denominator guarded > 0
 
 
 def np_bernoulli_entropy(z: np.ndarray, eps: float = TINY) -> np.ndarray:

@@ -67,7 +67,6 @@ from repro.serving.ladder import build_ladder
 from repro.serving.requests import GenerationRequest
 from repro.serving.service import InferenceService, RequestOutcome
 from repro.tensor.core import Tensor, no_grad
-from repro.tensor.lazy import compile_graph, resolve_fusion
 
 __all__ = ["EngineConfig", "EngineStats", "ContinuousBatchingEngine"]
 
@@ -86,9 +85,6 @@ class EngineConfig:
     """Fixed source width of every frontier row. ``None`` uses the
     service's admission cap (``AdmissionPolicy.max_source_tokens``).
     Requests longer than this are served on the solo path instead."""
-    fusion: bool | None = None
-    """Stage the shared step through :mod:`repro.tensor.lazy`; ``None``
-    defers to the process-wide default."""
 
     def __post_init__(self) -> None:
         if self.max_rows < 1:
@@ -224,9 +220,6 @@ class ContinuousBatchingEngine:
         self._slots: list[_Slot] = []
         self._state: DecoderStepState | None = None
         self._context: EncoderContext | None = None
-        self._step_fn = service.model.step_log_probs
-        if resolve_fusion(self.config.fusion):
-            self._step_fn = compile_graph(service.model.step_log_probs)
 
     # ------------------------------------------------------------------
     # Introspection (the property-test surface)
@@ -299,7 +292,7 @@ class ContinuousBatchingEngine:
         prev = np.concatenate([slot.prev for slot in self._slots])
         try:
             with no_grad():
-                step_lp, new_state = self._step_fn(prev, self._state, self._merged())
+                step_lp, new_state = model.step_log_probs(prev, self._state, self._merged())
         except Exception:  # noqa: BLE001 - shared-step fault: solo path decides
             self._dump_frontier(outcomes)
             self._gauges()

@@ -14,15 +14,7 @@ from repro.tensor.anomaly import (
     provenance_of,
 )
 from repro.tensor.core import DEFAULT_DTYPE, Tensor, ensure_tensor, is_grad_enabled, no_grad
-from repro.tensor.lazy import (
-    Arena,
-    compile_graph,
-    fusion_context,
-    is_lazy_enabled,
-    lazy,
-    resolve_fusion,
-    set_fusion_enabled,
-)
+from repro.tensor.lazy import is_lazy_enabled, lazy, set_fusion_enabled
 from repro.tensor.gradcheck import (
     GradientCheckError,
     check_finite_gradients,
@@ -67,12 +59,8 @@ __all__ = [
     "ensure_tensor",
     "is_grad_enabled",
     "no_grad",
-    "Arena",
     "lazy",
-    "compile_graph",
-    "fusion_context",
     "is_lazy_enabled",
-    "resolve_fusion",
     "set_fusion_enabled",
     "GradientCheckError",
     "check_finite_gradients",

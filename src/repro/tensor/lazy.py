@@ -1,29 +1,19 @@
-"""Lazy kernel-fusion execution with arena buffers.
+"""Opt-in kernel fusion for the tape.
 
-The numpy tape executes one Python-level op at a time: every LSTM decode
-step pays ~30 tape-node creations and as many fresh array allocations, and
-that per-op dispatch — not the FLOPs — dominates both training epochs and
-the batched beam engine. This module adds a *staged* execution mode:
+The numpy tape executes one Python-level op at a time, so the attention
+score→mask→softmax→context chain and the ACNN Eq. 3 copy-score chain each
+cost ~10 tape nodes per decoder step. With fusion on, those chains run as
+the single-node kernels in :mod:`repro.nn.functional` (one tape node with
+a hand-written backward) instead of their elementary-op formulation.
 
-- :class:`lazy` — a context manager (usable as a decorator) that switches
-  the blessed fusable blocks (the LSTM gate block in
-  :mod:`repro.nn.functional`, the attention score→mask→softmax chain and
-  the pointer/copy score chain) from their elementary-op formulation to
-  fused kernels. Under gradients each fused block becomes ONE tape node
-  with a hand-written backward; with gradients disabled the kernels
-  additionally *replay* through preallocated arena buffers — no per-op
-  tape dispatch, no per-op allocation.
-- :class:`Arena` — the buffer pool. Buffers are keyed by
-  ``(kernel key, shape, dtype)`` — the *shape signature* — so the first
-  execution of a block with a given signature traces (allocates) its
-  buffer plan and every subsequent call with that signature replays into
-  the same memory. Output buffers ping-pong between ``rotate`` physical
-  arrays so a kernel whose step-``t`` output feeds its own step-``t+1``
-  input never reads memory it is about to overwrite.
-- :func:`compile_graph` — wraps a step function (e.g. a model's
-  ``step_log_probs``); each call is keyed by the shape signature of its
-  arguments, the first call per signature records the op graph (arena
-  misses), and later calls replay through the cached buffers (arena hits).
+Fusion is on when either holds:
+
+- a :class:`lazy` context (usable as a decorator) is active, or
+- the process-wide default is raised with :func:`set_fusion_enabled`
+  (the CLI's ``--fusion`` flag).
+
+:func:`is_lazy_enabled` is the one predicate the fusable call sites
+(``GlobalAttention.forward`` and ``ACNN.copy_distribution``) consult.
 
 Equivalence contract
 --------------------
@@ -33,169 +23,59 @@ backwards are gradcheck-pinned (tolerance equivalence). NaN is never
 laundered: the transcendentals route through :mod:`repro.nn.numerics`
 (``scripts/lint_numerics.py`` enforces this with waiver-proof strictness
 for the fused-kernel modules) and non-finite inputs stay detectable.
-
-When eager is still required
-----------------------------
-- :func:`repro.tensor.anomaly.detect_anomaly` needs per-op provenance, so
-  the raw arena fast path steps aside while a context is active: kernels
-  fall back to their single-tape-node form, which the anomaly hooks see.
-- Coverage-mode attention (the See et al. extension) mixes an accumulated
-  history into the scores and keeps the elementary-op path.
-- Gradient mode never reuses arena memory (backwards need their forward
-  activations alive); fusion there is node fusion only.
+Coverage-mode attention (the See et al. extension) mixes an accumulated
+history into the scores and keeps the elementary-op path.
 
 Reentrancy audit (``_GRAD_ENABLED`` / ``_PROFILES`` / ``_ANOMALY`` / ``_LAZY``)
 -------------------------------------------------------------------------------
 All four mode switches are plain module-level stacks, which is safe
-because every consumer — the trainer, the decoding engines, and serving's
-``MicroBatcher`` (a synchronous bounded FIFO; it never spawns threads) —
-runs tape code on one thread per process. The stacks are exception-safe
-(``append`` on enter, ``remove`` of the exact entry on exit) and reentrant
-(nested contexts, including reusing one ``no_grad``/``lazy`` instance,
-restore correctly because state is kept per *entry*, not per instance).
-Replaying a graph inside the batcher therefore composes with ``no_grad``
-and ``lazy`` the same way any nested context does. A multi-process worker
-pool (the roadmap's scale-out path) gets a fresh set of stacks per
-process, which is exactly the isolation it needs; sharing one process
-between concurrent tape users would require promoting these to
-thread-locals and is deliberately out of contract.
+because every consumer — the trainer, the decoding engines and the
+serving engine — runs tape code on one thread per process. The stacks are
+exception-safe (``append`` on enter, ``remove`` of the exact entry on
+exit) and reentrant (nested contexts, including reusing one
+``no_grad``/``lazy`` instance, restore correctly because state is kept per
+*entry*, not per instance). Multi-process workers get a fresh set of
+stacks per process; sharing one process between concurrent tape users
+would require promoting these to thread-locals and is deliberately out of
+contract.
 """
 
 from __future__ import annotations
 
 import functools
-from contextlib import nullcontext
-from typing import Any, Callable
-
-import numpy as np
-
-from repro.tensor import core
+from typing import Callable
 
 __all__ = [
-    "Arena",
     "lazy",
-    "compile_graph",
     "is_lazy_enabled",
-    "active_arena",
-    "arena_fast_path",
     "fusion_enabled",
     "set_fusion_enabled",
-    "fusion_context",
-    "resolve_fusion",
-    "signature_of",
 ]
 
 # Active lazy contexts, innermost last. Same single-threaded contract as
 # core._GRAD_ENABLED (see the reentrancy audit in the module docstring).
 _LAZY: list["lazy"] = []
 
-# Process-wide opt-in default consulted by fusion_context()/resolve_fusion()
-# when a call site passes ``fusion=None``. Off by default: with the flag
-# down and no explicit lazy() context, behavior is bit-for-bit the eager
-# tape.
+# Process-wide opt-in default. Off by default: with the flag down and no
+# lazy() context, behavior is bit-for-bit the eager tape.
 _FUSION_DEFAULT = False
 
 
-#: Hoisted out of ``Arena.buffer`` — the per-call ``np.dtype(...).str``
-#: round-trip is measurable on small replayed kernels.
-_DEFAULT_DTYPE_STR = np.dtype(core.DEFAULT_DTYPE).str
-
-
-class Arena:
-    """Preallocated buffer pool keyed by shape signature.
-
-    ``buffer(key, shape, dtype)`` returns a reusable array for the slot
-    ``(key, shape, dtype)``. The first request allocates (a *miss*, i.e.
-    the trace phase of that signature); subsequent requests return the
-    same memory (a *hit*, the replay phase). Slots created with
-    ``rotate > 1`` cycle through that many physical buffers, one per
-    call, so recurrent chains can read their previous output while the
-    next one is being written.
-    """
-
-    __slots__ = ("_slots", "hits", "misses", "nbytes")
-
-    def __init__(self) -> None:
-        self._slots: dict[tuple, list] = {}
-        self.hits = 0
-        self.misses = 0
-        self.nbytes = 0
-
-    def buffer(
-        self,
-        key: tuple,
-        shape: tuple[int, ...],
-        dtype=core.DEFAULT_DTYPE,
-        rotate: int = 1,
-    ) -> np.ndarray:
-        """A preallocated ``shape``/``dtype`` array for slot ``key``.
-
-        The returned buffer's contents are unspecified — kernels must
-        overwrite every element (use ``out=`` forms, never ``+=`` on a
-        fresh buffer).
-        """
-        if dtype is core.DEFAULT_DTYPE:
-            dtype_str = _DEFAULT_DTYPE_STR
-        else:
-            dtype_str = np.dtype(dtype).str
-        slot_key = (key, shape, dtype_str)
-        slot = self._slots.get(slot_key)
-        if slot is None:
-            # [cursor, buf_0 .. buf_{rotate-1}] — buffers fill in lazily so
-            # a rotate=2 slot used once allocates once.
-            slot = [0] + [None] * max(1, int(rotate))
-            self._slots[slot_key] = slot
-        cursor = slot[0]
-        slot[0] = (cursor + 1) % (len(slot) - 1)
-        buf = slot[1 + cursor]
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            slot[1 + cursor] = buf
-            self.misses += 1
-            self.nbytes += buf.nbytes
-            hit = False
-        else:
-            self.hits += 1
-            hit = True
-        if core._PROFILES:
-            for profile in core._PROFILES:
-                profile.record_arena(hit, buf.nbytes)
-        return buf
-
-    def reset(self) -> None:
-        """Drop every buffer (a new trace phase starts on next use)."""
-        self._slots.clear()
-        self.nbytes = 0
-
-    def stats(self) -> dict:
-        """Counters for tests and telemetry."""
-        return {
-            "slots": len(self._slots),
-            "hits": self.hits,
-            "misses": self.misses,
-            "nbytes": self.nbytes,
-        }
-
-
 class lazy:
-    """Enable staged (fused / arena-replayed) execution inside the block.
+    """Enable fused kernels inside the block.
 
     Usable as a context manager or as a decorator::
 
         with lazy():
-            hypotheses = batched_beam_decode(model, batch)
+            loss = model.loss(batch)
 
         @lazy()
         def decode(batch): ...
 
     Each entry pushes onto the module stack and pops exactly that entry on
     exit, so nesting — including reusing one instance — and exceptions
-    restore the previous state correctly. An explicit ``arena`` can be
-    shared across blocks to keep buffers alive between calls.
+    restore the previous state correctly.
     """
-
-    def __init__(self, arena: Arena | None = None) -> None:
-        self.arena = arena if arena is not None else Arena()
 
     def __enter__(self) -> "lazy":
         _LAZY.append(self)
@@ -214,28 +94,8 @@ class lazy:
 
 
 def is_lazy_enabled() -> bool:
-    """Whether a :class:`lazy` context is currently active."""
-    return bool(_LAZY)
-
-
-def active_arena() -> Arena | None:
-    """The innermost active context's arena (None outside lazy mode)."""
-    return _LAZY[-1].arena if _LAZY else None
-
-
-def arena_fast_path() -> Arena | None:
-    """The arena to replay through, or None if raw replay is not allowed.
-
-    Raw (non-tape) arena execution requires lazy mode on, gradients off,
-    and no :func:`~repro.tensor.anomaly.detect_anomaly` context — anomaly
-    mode must see every block as a tape node to attribute non-finite
-    values, so kernels fall back to their single-node form there.
-    """
-    if not _LAZY:
-        return None
-    if core.is_grad_enabled() or core._ANOMALY:
-        return None
-    return _LAZY[-1].arena
+    """Whether fused kernels are on: inside :class:`lazy` or by default."""
+    return _FUSION_DEFAULT or bool(_LAZY)
 
 
 def fusion_enabled() -> bool:
@@ -249,77 +109,3 @@ def set_fusion_enabled(enabled: bool) -> bool:
     previous = _FUSION_DEFAULT
     _FUSION_DEFAULT = bool(enabled)
     return previous
-
-
-def resolve_fusion(opt: bool | None) -> bool:
-    """Resolve a per-call ``fusion=`` argument against the global default."""
-    return _FUSION_DEFAULT if opt is None else bool(opt)
-
-
-def fusion_context(opt: bool | None = None):
-    """The opt-in context used by model/decoder step loops.
-
-    Returns a fresh :class:`lazy` context when fusion is requested
-    (explicitly or via the global default) and none is active yet; a
-    no-op otherwise, so nested loops share the outer context's arena.
-    """
-    if is_lazy_enabled() or not resolve_fusion(opt):
-        return nullcontext()
-    return lazy()
-
-
-# ----------------------------------------------------------------------
-# Shape-signature keyed graph compilation
-# ----------------------------------------------------------------------
-def signature_of(*args: Any, **kwargs: Any) -> tuple:
-    """Structural shape signature of a call's arguments.
-
-    Arrays and tensors contribute ``(shape, dtype)``; scalars contribute
-    their value (a new max-length or beam width is a different graph);
-    containers recurse; rich objects (decoder states, encoder contexts)
-    contribute their type name — their array shapes are stable for the
-    lifetime of one compiled step loop.
-    """
-    return tuple(_describe(a) for a in args) + tuple(
-        (k, _describe(v)) for k, v in sorted(kwargs.items())
-    )
-
-
-def _describe(value: Any, depth: int = 0) -> Any:
-    if depth > 3:
-        return type(value).__name__
-    if isinstance(value, core.Tensor):
-        return ("T", value.data.shape, value.data.dtype.str)
-    if isinstance(value, np.ndarray):
-        return ("A", value.shape, value.dtype.str)
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return tuple(_describe(v, depth + 1) for v in value)
-    return type(value).__name__
-
-
-def compile_graph(fn: Callable) -> Callable:
-    """Stage ``fn`` for signature-keyed record/replay execution.
-
-    The wrapper runs every call inside one persistent :class:`lazy`
-    context (one arena for the function's lifetime). The first call with
-    a given shape signature records the op graph — fused kernels allocate
-    their arena plans (misses) — and subsequent calls with the same
-    signature replay through the preallocated buffers (hits). The wrapper
-    exposes ``arena`` and ``signatures`` (signature → call count) for
-    introspection and tests.
-    """
-    context = lazy()
-    signatures: dict[tuple, int] = {}
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        sig = signature_of(*args, **kwargs)
-        signatures[sig] = signatures.get(sig, 0) + 1
-        with context:
-            return fn(*args, **kwargs)
-
-    wrapper.arena = context.arena
-    wrapper.signatures = signatures
-    return wrapper

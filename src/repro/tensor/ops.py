@@ -310,11 +310,10 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
 
     The no-op cases (``p == 0.0`` or eval mode) return a proper *identity
     node* — a distinct tensor sharing the input's data — never the input
-    object itself. Aliasing the input broke two graph invariants: arena
-    buffer planning in :mod:`repro.tensor.lazy` assumes distinct graph
-    nodes are distinct objects, and :class:`~repro.tensor.profiler.TapeProfile`
-    node counts differed between train (``p > 0``: one node) and eval /
-    ``p == 0`` graphs (zero nodes) for the same model.
+    object itself. Aliasing the input made
+    :class:`~repro.tensor.profiler.TapeProfile` node counts differ between
+    train (``p > 0``: one node) and eval / ``p == 0`` graphs (zero nodes)
+    for the same model.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")

@@ -29,12 +29,6 @@ class TapeProfile:
     """Number of tape nodes (op outputs that require grad)."""
     elements: int = 0
     """Total scalar elements across those outputs (activation footprint)."""
-    arena_hits: int = 0
-    """Lazy-mode arena buffer reuses (replayed steps; no allocation)."""
-    arena_misses: int = 0
-    """Lazy-mode arena buffer allocations (trace phase of a signature)."""
-    arena_bytes: int = 0
-    """Bytes newly allocated by arena misses while profiling."""
 
     def __enter__(self) -> "TapeProfile":
         core._PROFILES.append(self)
@@ -46,11 +40,3 @@ class TapeProfile:
     def record(self, size: int) -> None:
         self.nodes += 1
         self.elements += size
-
-    def record_arena(self, hit: bool, nbytes: int) -> None:
-        """Called by :class:`repro.tensor.lazy.Arena` on every buffer request."""
-        if hit:
-            self.arena_hits += 1
-        else:
-            self.arena_misses += 1
-            self.arena_bytes += nbytes

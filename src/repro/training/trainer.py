@@ -39,7 +39,6 @@ from repro.optim.schedules import Schedule
 from repro.runtime.supervisor import DrainGuard
 from repro.tensor.anomaly import NumericalAnomaly, detect_anomaly
 from repro.tensor.core import no_grad
-from repro.tensor.lazy import fusion_context
 from repro.training.history import EpochRecord, RecoveryEvent, TrainingHistory
 from repro.training.overflow import BatchQuarantined, DynamicLossScaler, OverflowPolicy
 from repro.training.resilience import (
@@ -147,14 +146,6 @@ class TrainerConfig:
     """Under ``"skip"``: escalate to :class:`TrainingDiverged` after this
     many consecutive quarantined batches — a model that cannot produce a
     finite step anymore has diverged."""
-    fusion: bool = False
-    """Run the forward pass inside :func:`repro.tensor.lazy.fusion_context`:
-    each decoder step's LSTM/attention/copy chains collapse into single
-    fused tape nodes (byte-identical forward, gradcheck-pinned backward)
-    instead of ~30 elementary ops. Off by default — zero behavior change;
-    ``False`` still defers to the process-wide
-    :func:`~repro.tensor.lazy.set_fusion_enabled` default, so the CLI's
-    ``--fusion`` flag reaches the loop without threading config."""
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -284,9 +275,8 @@ class Trainer:
         self.model.train()
         scaler = self.loss_scaler
         anomaly_guard = detect_anomaly() if self.config.detect_anomaly else nullcontext()
-        fusion_guard = fusion_context(True) if self.config.fusion else nullcontext()
         try:
-            with anomaly_guard, fusion_guard:
+            with anomaly_guard:
                 with telemetry.span("forward"):
                     loss = self.model.loss(batch)
                 loss_value = loss.item()

@@ -11,7 +11,6 @@ from repro.data.vocabulary import BOS_ID, EOS_ID, PAD_ID
 from repro.decoding import (
     batched_beam_decode,
     batched_beam_search,
-    beam_decode,
     beam_decode_example,
 )
 from repro.models import ModelConfig, build_model
@@ -79,16 +78,6 @@ def test_batched_matches_per_example_with_coverage():
     for b, p in zip(batched, per_example):
         assert b.token_ids == p.token_ids
         assert b.log_prob == p.log_prob
-
-
-def test_beam_decode_delegates_to_engine():
-    encoder, decoder, batch = _synthetic_batch(seed=5)
-    config = ModelConfig(embedding_dim=6, hidden_size=8, num_layers=1, dropout=0.0, seed=1)
-    model = build_model("acnn", config, len(encoder), len(decoder))
-    via_facade = beam_decode(model, batch, beam_size=3, max_length=8)
-    via_engine = batched_beam_decode(model, batch, beam_size=3, max_length=8)
-    assert [h.token_ids for h in via_facade] == [h.token_ids for h in via_engine]
-    assert [h.log_prob for h in via_facade] == [h.log_prob for h in via_engine]
 
 
 def test_batched_search_pools_ranked():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.data import QGDataset, QGExample, Vocabulary, collate
 from repro.data.vocabulary import BOS_ID, EOS_ID, PAD_ID
-from repro.decoding import beam_decode
+from repro.decoding import batched_beam_decode
 from repro.models import ModelConfig, build_model
 
 _WORDS = ["zorvex", "karlin", "tower", "river", "1887", "ostavia"]
@@ -45,8 +45,8 @@ def _problem(seed):
 @settings(max_examples=15, deadline=None)
 def test_wider_beam_never_scores_worse(seed):
     model, batch = _problem(seed)
-    narrow = beam_decode(model, batch, beam_size=1, max_length=8)
-    wide = beam_decode(model, batch, beam_size=4, max_length=8)
+    narrow = batched_beam_decode(model, batch, beam_size=1, max_length=8)
+    wide = batched_beam_decode(model, batch, beam_size=4, max_length=8)
     for n, w in zip(narrow, wide):
         if n.finished and w.finished:
             assert w.score(1.0) >= n.score(1.0) - 1e-9
@@ -56,7 +56,7 @@ def test_wider_beam_never_scores_worse(seed):
 @settings(max_examples=15, deadline=None)
 def test_no_control_tokens_in_output(seed):
     model, batch = _problem(seed)
-    for hyp in beam_decode(model, batch, beam_size=3, max_length=8):
+    for hyp in batched_beam_decode(model, batch, beam_size=3, max_length=8):
         assert PAD_ID not in hyp.token_ids
         assert BOS_ID not in hyp.token_ids
         assert EOS_ID not in hyp.token_ids
@@ -66,7 +66,7 @@ def test_no_control_tokens_in_output(seed):
 @settings(max_examples=10, deadline=None)
 def test_beam_log_probs_are_nonpositive(seed):
     model, batch = _problem(seed)
-    for hyp in beam_decode(model, batch, beam_size=2, max_length=8):
+    for hyp in batched_beam_decode(model, batch, beam_size=2, max_length=8):
         assert hyp.log_prob <= 1e-9
 
 
@@ -74,5 +74,5 @@ def test_beam_log_probs_are_nonpositive(seed):
 @settings(max_examples=10, deadline=None)
 def test_beam_respects_max_length(seed):
     model, batch = _problem(seed)
-    for hyp in beam_decode(model, batch, beam_size=2, max_length=5):
+    for hyp in batched_beam_decode(model, batch, beam_size=2, max_length=5):
         assert len(hyp.token_ids) <= 5

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data import QGDataset, QGExample, Vocabulary, collate
 from repro.data.vocabulary import BOS_ID, EOS_ID, PAD_ID
-from repro.decoding import beam_decode, beam_decode_example, greedy_decode
+from repro.decoding import batched_beam_decode, beam_decode_example, greedy_decode
 from repro.models import ModelConfig, build_model
 from repro.optim import SGD, clip_grad_norm
 from repro.tensor import no_grad
@@ -82,7 +82,7 @@ def test_greedy_overfit_model_reproduces_gold(setup):
 def test_beam_size_one_matches_greedy_tokens(setup):
     model, batch, _ = setup
     greedy = greedy_decode(model, batch, max_length=12)
-    beam = beam_decode(model, batch, beam_size=1, max_length=12, length_penalty=0.0)
+    beam = batched_beam_decode(model, batch, beam_size=1, max_length=12, length_penalty=0.0)
     for g, b in zip(greedy, beam):
         if g.finished and b.finished:
             assert g.token_ids == b.token_ids
@@ -90,7 +90,7 @@ def test_beam_size_one_matches_greedy_tokens(setup):
 
 def test_beam_returns_finished_hypotheses_on_easy_fit(setup):
     model, batch, _ = setup
-    for hyp in beam_decode(model, batch, beam_size=3, max_length=15):
+    for hyp in batched_beam_decode(model, batch, beam_size=3, max_length=15):
         assert hyp.finished
 
 
@@ -98,7 +98,7 @@ def test_beam_score_at_least_greedy(setup):
     """Beam-3's selected average log-prob must be >= greedy's."""
     model, batch, _ = setup
     greedy = greedy_decode(model, batch, max_length=12)
-    beam = beam_decode(model, batch, beam_size=3, max_length=12)
+    beam = batched_beam_decode(model, batch, beam_size=3, max_length=12)
     for g, b in zip(greedy, beam):
         if g.finished and b.finished:
             assert b.score(1.0) >= g.score(1.0) - 1e-9
@@ -114,8 +114,8 @@ def test_beam_rejects_bad_width(setup):
 
 def test_beam_deterministic(setup):
     model, batch, _ = setup
-    a = beam_decode(model, batch, beam_size=3, max_length=12)
-    b = beam_decode(model, batch, beam_size=3, max_length=12)
+    a = batched_beam_decode(model, batch, beam_size=3, max_length=12)
+    b = batched_beam_decode(model, batch, beam_size=3, max_length=12)
     assert [h.token_ids for h in a] == [h.token_ids for h in b]
 
 
@@ -126,5 +126,5 @@ def test_decoding_works_for_all_families(setup):
         model = build_model(family, config, 50, len(decoder))
         # Encoder vocab size must cover batch ids; rebuild with actual size.
         model = build_model(family, config, int(batch.src.max()) + 1, len(decoder))
-        hyps = beam_decode(model, batch, beam_size=2, max_length=6)
+        hyps = batched_beam_decode(model, batch, beam_size=2, max_length=6)
         assert len(hyps) == batch.size

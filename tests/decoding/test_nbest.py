@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import BatchIterator, QGDataset, QGExample, Vocabulary, collate
-from repro.decoding import beam_decode, beam_decode_nbest
+from repro.decoding import batched_beam_decode, beam_decode_nbest
 from repro.models import ModelConfig, build_model
 from repro.training import Trainer, TrainerConfig
 
@@ -62,7 +62,7 @@ def test_nbest_has_no_duplicate_surfaces(trained):
 
 def test_nbest_top1_matches_beam_search(trained):
     model, batch = trained
-    best = beam_decode(model, batch, beam_size=3, max_length=10)
+    best = batched_beam_decode(model, batch, beam_size=3, max_length=10)
     nbest = beam_decode_nbest(model, batch, n_best=1, beam_size=3, max_length=10)
     for single, candidates in zip(best, nbest):
         if single.finished and candidates[0].finished:

@@ -105,11 +105,11 @@ def test_answer_feature_dim_validation(tiny_config, tiny_vocabs):
 
 
 def test_answer_feature_beam_decoding(tiny_config, tiny_vocabs, tiny_batch):
-    from repro.decoding import beam_decode
+    from repro.decoding import batched_beam_decode
 
     encoder, decoder = tiny_vocabs
     model = build_model(
         "acnn", tiny_config, len(encoder), len(decoder), use_answer_features=True
     )
-    hyps = beam_decode(model, tiny_batch, beam_size=2, max_length=6)
+    hyps = batched_beam_decode(model, tiny_batch, beam_size=2, max_length=6)
     assert len(hyps) == tiny_batch.size

@@ -110,10 +110,10 @@ def test_coverage_state_select_for_beam(tiny_config, tiny_vocabs, tiny_batch):
 
 
 def test_coverage_beam_decoding_runs(tiny_config, tiny_vocabs, tiny_batch):
-    from repro.decoding import beam_decode
+    from repro.decoding import batched_beam_decode
 
     model = _model(tiny_config, tiny_vocabs)
-    hyps = beam_decode(model, tiny_batch, beam_size=2, max_length=6)
+    hyps = batched_beam_decode(model, tiny_batch, beam_size=2, max_length=6)
     assert len(hyps) == tiny_batch.size
 
 

@@ -3,7 +3,7 @@ sampling together, through training and beam decoding."""
 
 import numpy as np
 
-from repro.decoding import beam_decode, greedy_decode
+from repro.decoding import batched_beam_decode, greedy_decode
 from repro.models import build_model
 from repro.optim import SGD, clip_grad_norm
 
@@ -56,7 +56,7 @@ def test_composed_model_gradients_reach_every_parameter(tiny_config, tiny_vocabs
 def test_composed_model_decodes_both_ways(tiny_config, tiny_vocabs, tiny_batch):
     model = _full_acnn(tiny_config, tiny_vocabs)
     greedy = greedy_decode(model, tiny_batch, max_length=6)
-    beam = beam_decode(model, tiny_batch, beam_size=3, max_length=6)
+    beam = batched_beam_decode(model, tiny_batch, beam_size=3, max_length=6)
     assert len(greedy) == len(beam) == tiny_batch.size
 
 

@@ -1,6 +1,6 @@
-"""Fused attention / pointer / LSTM kernels: gradchecks against numerical
-gradients, byte-identity fuzzing against the elementary-op formulation, and
-the arena replay tier under ``lazy() + no_grad``."""
+"""Fused attention / pointer kernels: gradchecks against numerical
+gradients and byte-identity fuzzing against the elementary-op formulation,
+with gradients on and under ``no_grad``."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.attention import GlobalAttention
-from repro.nn.functional import (
-    fused_attention,
-    fused_pointer_probs,
-    lstm_cell_step,
-)
-from repro.nn.lstm import LSTMCell
+from repro.nn.functional import fused_attention, fused_pointer_probs
 from repro.tensor import Tensor, no_grad
 from repro.tensor.gradcheck import check_gradients
 from repro.tensor.lazy import lazy
@@ -74,14 +69,13 @@ def test_fused_attention_byte_identical_to_eager(batch, time, dec, enc, seed):
 
 @given(dims, st.integers(2, 6), dims, dims, seeds)
 @settings(max_examples=25, deadline=None)
-def test_fused_attention_arena_replay_byte_identical(batch, time, dec, enc, seed):
+def test_fused_attention_no_grad_node_byte_identical(batch, time, dec, enc, seed):
     d, states, weight, mask = _attention_inputs(batch, time, dec, enc, seed)
     e_context, e_weights = _eager_attention_chain(d, states, weight, mask)
-    with lazy(), no_grad():
-        for _ in range(3):  # replay steps reuse buffers
-            a_context, a_weights = fused_attention(d, states, weight, pad_mask=mask)
-            assert np.array_equal(a_context.data, e_context.data)
-            assert np.array_equal(a_weights.data, e_weights.data)
+    with no_grad():
+        n_context, n_weights = fused_attention(d, states, weight, pad_mask=mask)
+    assert np.array_equal(n_context.data, e_context.data)
+    assert np.array_equal(n_weights.data, e_weights.data)
 
 
 def test_attention_layer_routes_through_fused_kernel_identically():
@@ -143,73 +137,9 @@ def test_fused_pointer_probs_byte_identical(batch, time, enc, seed):
     eager = _eager_pointer_chain(projected, states, bias, mask)
     fused = fused_pointer_probs(projected, states, bias, mask)
     assert np.array_equal(fused.data, eager.data)
-    with lazy(), no_grad():
-        for _ in range(3):
-            arena_probs = fused_pointer_probs(projected, states, bias, mask)
-            assert np.array_equal(arena_probs.data, eager.data)
-
-
-# ---------------------------------------------------------------------------
-# LSTM step: arena tier vs fused node vs elementary reference
-# ---------------------------------------------------------------------------
-@given(dims, dims, dims, seeds)
-@settings(max_examples=40, deadline=None)
-def test_lstm_arena_step_byte_identical(batch, input_size, hidden, seed):
-    rng = np.random.default_rng(seed)
-    cell = LSTMCell(input_size, hidden, rng)
-    x = Tensor(rng.standard_normal((batch, input_size)))
-    state = cell.initial_state(batch)
-    x2 = Tensor(rng.standard_normal((batch, input_size)))
-
     with no_grad():
-        h1, c1 = cell(x, state)
-        h2, c2 = cell(x2, (h1, c1))
-    with lazy(), no_grad():
-        a_h1, a_c1 = cell(x, state)
-        a_h2, a_c2 = cell(x2, (a_h1, a_c1))
-    assert np.array_equal(a_h1.data, h1.data)
-    assert np.array_equal(a_c1.data, c1.data)
-    assert np.array_equal(a_h2.data, h2.data)
-    assert np.array_equal(a_c2.data, c2.data)
-
-
-def test_lstm_arena_matches_forward_reference():
-    rng = np.random.default_rng(17)
-    cell = LSTMCell(4, 5, rng)
-    x = Tensor(rng.standard_normal((3, 4)))
-    state = cell.initial_state(3)
-    ref_h, ref_c = cell.forward_reference(x, state)
-    with lazy(), no_grad():
-        h, c = cell(x, state)
-    np.testing.assert_allclose(h.data, ref_h.data, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(c.data, ref_c.data, rtol=1e-12, atol=1e-14)
-
-
-def test_stacked_cells_with_shared_shapes_do_not_alias():
-    """Three same-shaped cells chained for many steps: per-cell arena keys
-    must keep each cell's ping-pong state private (a shared slot would
-    corrupt h/c after two steps)."""
-    rng = np.random.default_rng(23)
-    cells = [LSTMCell(6, 6, rng) for _ in range(3)]
-    xs = [Tensor(rng.standard_normal((2, 6))) for _ in range(6)]
-
-    def run_chain():
-        states = [cell.initial_state(2) for cell in cells]
-        for x in xs:
-            inp = x
-            for idx, cell in enumerate(cells):
-                h, c = cell(inp, states[idx])
-                states[idx] = (h, c)
-                inp = h
-        return [(h.data.copy(), c.data.copy()) for h, c in states]
-
-    with no_grad():
-        eager = run_chain()
-    with lazy(), no_grad():
-        fused = run_chain()
-    for (eh, ec), (fh, fc) in zip(eager, fused):
-        assert np.array_equal(eh, fh)
-        assert np.array_equal(ec, fc)
+        no_grad_probs = fused_pointer_probs(projected, states, bias, mask)
+    assert np.array_equal(no_grad_probs.data, eager.data)
 
 
 def test_fused_kernels_are_single_tape_nodes_under_grad():
@@ -225,9 +155,9 @@ def test_fused_kernels_are_single_tape_nodes_under_grad():
     assert fused_profile.nodes < eager_profile.nodes
 
 
-def test_anomaly_mode_disables_raw_arena_but_keeps_fusion():
-    """detect_anomaly needs tape nodes for provenance: inside lazy() the
-    kernels must fall back to single-node form (which on_op sees)."""
+def test_anomaly_mode_sees_fused_kernels():
+    """detect_anomaly needs tape nodes for provenance: inside lazy() a fused
+    kernel is one tape node, which on_op sees and blames."""
     from repro.tensor import NumericalAnomaly, detect_anomaly
 
     d, states, weight, mask = _attention_inputs(2, 4, 3, 3, seed=5)

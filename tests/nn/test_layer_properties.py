@@ -50,8 +50,8 @@ def test_dropout_eval_identity(p, seed):
     x = Tensor(np.random.default_rng(seed).standard_normal((3, 3)))
     out = layer(x)
     # Identity *values* (sharing x's array is fine) but a distinct node:
-    # returning the input object itself aliased graph identities, breaking
-    # arena planning and train/eval tape-profile comparisons.
+    # returning the input object itself aliased graph identities, so
+    # TapeProfile node counts differed between train and eval graphs.
     assert out is not x
     assert out.data is x.data
 

@@ -203,11 +203,7 @@ def test_np_fast_sigmoid_matches_gate_formula_bytes():
     # not of ops.sigmoid's split-sign kernel — those agree only to ulps.
     expected = 1.0 / (1.0 + np.exp(-x))
     np.testing.assert_array_equal(np_fast_sigmoid(x), expected)
-    out = np.empty_like(x)
-    result = np_fast_sigmoid(x, out=out)
-    assert result is out
-    np.testing.assert_array_equal(out, expected)
-    np.testing.assert_allclose(out, sigmoid(Tensor(x)).data, rtol=1e-15)
+    np.testing.assert_allclose(np_fast_sigmoid(x), sigmoid(Tensor(x)).data, rtol=1e-15)
 
 
 def test_np_fast_sigmoid_saturates_and_propagates_nan():
@@ -229,10 +225,6 @@ def test_np_stable_softmax_matches_tape_softmax_bytes():
     ]:
         expected = softmax(Tensor(scores), axis=1).data
         np.testing.assert_array_equal(np_stable_softmax(scores, axis=1), expected)
-        out = np.empty_like(scores)
-        result = np_stable_softmax(scores, axis=1, out=out)
-        assert result is out
-        np.testing.assert_array_equal(out, expected)
 
 
 def test_np_stable_softmax_fully_masked_row_returns_zeros():

@@ -24,6 +24,7 @@ from repro.serving import (
     ManualClock,
     pad_batch,
 )
+from repro.tensor.lazy import set_fusion_enabled
 
 from conftest import build_service, build_tiny_model, request_texts
 
@@ -55,12 +56,22 @@ def solo_decode(model, encoded, beam_size, max_length, width=PAD_TO):
     )[0]
 
 
+@pytest.fixture(params=[False, True], ids=["fusion_off", "fusion_on"])
+def fusion_default(request):
+    """The process-wide fusion default ``acnn serve --fusion`` raises,
+    restored afterwards so no other test sees it."""
+    previous = set_fusion_enabled(request.param)
+    yield request.param
+    set_fusion_enabled(previous)
+
+
 # ----------------------------------------------------------------------
 # Byte-equivalence: cohabitation must not change a single bit
 # ----------------------------------------------------------------------
-def test_mixed_frontier_matches_solo_decode_byte_for_byte():
+def test_mixed_frontier_matches_solo_decode_byte_for_byte(fusion_default):
     """Requests of different lengths and beam widths share the frontier;
-    each must decode exactly as it would alone at the same padded width."""
+    each must decode exactly as it would alone at the same padded width,
+    with fusion on or off (the solo reference always runs eager)."""
     texts = request_texts(8, seed=17)
     requests = [
         GenerationRequest(
@@ -76,6 +87,7 @@ def test_mixed_frontier_matches_solo_decode_byte_for_byte():
     assert all(o.status == "served" for o in outcomes.values())
     assert engine.stats.solo_fallbacks == 0
 
+    set_fusion_enabled(False)
     reference = build_service()  # same seed -> same weights
     for request in requests:
         encoded = reference.admit(

@@ -1,6 +1,7 @@
-"""Lazy execution mode: arena replay, graph staging, and the equivalence
-contract (fusion on must be byte-identical to eager for forwards and
-tolerance-pinned for backwards), plus the reentrancy-audited ``no_grad``.
+"""Kernel fusion mode: the ``lazy()`` scope, the process-wide default, and
+the equivalence contract (fusion on must be byte-identical to eager for
+forwards and tolerance-pinned for backwards), plus the reentrancy-audited
+``no_grad``.
 """
 
 import numpy as np
@@ -12,18 +13,7 @@ from repro.decoding.greedy import greedy_decode
 from repro.models import ModelConfig, build_model
 from repro.tensor import Tensor, no_grad
 from repro.tensor.core import is_grad_enabled
-from repro.tensor.lazy import (
-    Arena,
-    arena_fast_path,
-    compile_graph,
-    fusion_context,
-    fusion_enabled,
-    is_lazy_enabled,
-    lazy,
-    resolve_fusion,
-    set_fusion_enabled,
-    signature_of,
-)
+from repro.tensor.lazy import fusion_enabled, is_lazy_enabled, lazy, set_fusion_enabled
 from repro.tensor.profiler import TapeProfile
 
 _WORDS = ["zorvex", "karlin", "tower", "river", "1887", "ostavia", "velkin"]
@@ -51,53 +41,7 @@ def _model(family, encoder, decoder, seed=3, layers=2):
 
 
 # ---------------------------------------------------------------------------
-# Arena
-# ---------------------------------------------------------------------------
-def test_arena_trace_then_replay():
-    arena = Arena()
-    first = arena.buffer("slot", (3, 4))
-    again = arena.buffer("slot", (3, 4))
-    assert first is again
-    assert arena.stats() == {"slots": 1, "hits": 1, "misses": 1, "nbytes": first.nbytes}
-
-
-def test_arena_rotate_ping_pongs():
-    arena = Arena()
-    a = arena.buffer("state", (2, 2), rotate=2)
-    b = arena.buffer("state", (2, 2), rotate=2)
-    c = arena.buffer("state", (2, 2), rotate=2)
-    assert a is not b
-    assert a is c  # cycle of two
-
-
-def test_arena_distinguishes_key_shape_dtype():
-    arena = Arena()
-    assert arena.buffer("k", (2,)) is not arena.buffer("k2", (2,))
-    assert arena.buffer("k", (2,)) is not arena.buffer("k", (3,))
-    assert arena.buffer("k", (2,)) is not arena.buffer("k", (2,), dtype=np.float32)
-
-
-def test_arena_reset_starts_new_trace():
-    arena = Arena()
-    arena.buffer("x", (2,))
-    arena.reset()
-    assert arena.stats()["slots"] == 0
-    arena.buffer("x", (2,))
-    assert arena.misses == 2
-
-
-def test_tape_profile_counts_arena_traffic():
-    arena = Arena()
-    with TapeProfile() as profile:
-        arena.buffer("x", (4,))
-        arena.buffer("x", (4,))
-    assert profile.arena_misses == 1
-    assert profile.arena_hits == 1
-    assert profile.arena_bytes == 4 * 8
-
-
-# ---------------------------------------------------------------------------
-# Mode plumbing: contexts, defaults, fast-path gating
+# Mode plumbing: contexts and the process-wide default
 # ---------------------------------------------------------------------------
 def test_lazy_context_and_decorator():
     assert not is_lazy_enabled()
@@ -123,76 +67,16 @@ def test_lazy_exception_safe():
     assert not is_lazy_enabled()
 
 
-def test_fast_path_requires_no_grad_and_no_anomaly():
-    from repro.tensor import detect_anomaly
-
-    assert arena_fast_path() is None
-    with lazy() as ctx:
-        # grad enabled by default -> node fusion only, no raw arena
-        assert arena_fast_path() is None
-        with no_grad():
-            assert arena_fast_path() is ctx.arena
-            with detect_anomaly(emit_telemetry=False):
-                assert arena_fast_path() is None
-            assert arena_fast_path() is ctx.arena
-
-
 def test_fusion_default_off_and_resolution():
     assert not fusion_enabled()  # zero behavior change out of the box
-    assert resolve_fusion(None) is False
-    assert resolve_fusion(True) is True
+    assert not is_lazy_enabled()
     previous = set_fusion_enabled(True)
     try:
         assert previous is False
-        assert resolve_fusion(None) is True
-        assert resolve_fusion(False) is False
+        assert is_lazy_enabled()  # the default turns fusion on outside lazy()
     finally:
         set_fusion_enabled(False)
-
-
-def test_fusion_context_is_noop_when_off_or_nested():
-    from contextlib import nullcontext
-
-    assert isinstance(fusion_context(), nullcontext)  # off -> no-op
-    assert isinstance(fusion_context(True), lazy)
-    with lazy():
-        # already staged: inner loops share the outer arena
-        assert isinstance(fusion_context(True), nullcontext)
-
-
-# ---------------------------------------------------------------------------
-# Shape signatures and compile_graph
-# ---------------------------------------------------------------------------
-def test_signature_distinguishes_shapes_and_scalars():
-    a = signature_of(Tensor(np.zeros((2, 3))), beam=3)
-    b = signature_of(Tensor(np.zeros((2, 3))), beam=3)
-    c = signature_of(Tensor(np.zeros((2, 4))), beam=3)
-    d = signature_of(Tensor(np.zeros((2, 3))), beam=5)
-    assert a == b
-    assert a != c
-    assert a != d
-
-
-def test_compile_graph_traces_once_per_signature():
-    calls = []
-
-    @compile_graph
-    def step(x):
-        calls.append(x.shape)
-        assert is_lazy_enabled()
-        arena = arena_fast_path()
-        buf = arena.buffer("out", x.shape)
-        np.multiply(x, 2.0, out=buf)
-        return buf
-
-    with no_grad():
-        first = step(np.ones((2, 2)))
-        second = step(np.ones((2, 2)))
-        assert first is second  # replayed through the same buffer
-        step(np.ones((3, 2)))  # new signature -> new buffer plan
-    assert step.arena.misses == 2
-    assert step.arena.hits == 1
-    assert step.signatures[signature_of(np.ones((2, 2)))] == 2
+    assert not is_lazy_enabled()
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +87,8 @@ def test_beam_decode_fusion_byte_identical(family):
     encoder, decoder, batch = _synthetic_batch(seed=11)
     model = _model(family, encoder, decoder)
     off = batched_beam_decode(model, batch, beam_size=3, max_length=10)
-    on = batched_beam_decode(model, batch, beam_size=3, max_length=10, fusion=True)
+    with lazy():
+        on = batched_beam_decode(model, batch, beam_size=3, max_length=10)
     assert [h.token_ids for h in off] == [h.token_ids for h in on]
     assert [h.log_prob for h in off] == [h.log_prob for h in on]  # exact
     assert [h.finished for h in off] == [h.finished for h in on]
@@ -214,7 +99,8 @@ def test_greedy_decode_fusion_byte_identical(family):
     encoder, decoder, batch = _synthetic_batch(seed=5)
     model = _model(family, encoder, decoder, layers=3)  # stacked cells share shapes
     off = greedy_decode(model, batch, max_length=10)
-    on = greedy_decode(model, batch, max_length=10, fusion=True)
+    with lazy():
+        on = greedy_decode(model, batch, max_length=10)
     assert [h.token_ids for h in off] == [h.token_ids for h in on]
     assert [h.log_prob for h in off] == [h.log_prob for h in on]
 
@@ -224,7 +110,8 @@ def test_coverage_model_keeps_eager_attention_but_matches():
     config = ModelConfig(embedding_dim=8, hidden_size=10, num_layers=1, dropout=0.0, seed=7)
     model = build_model("acnn", config, len(encoder), len(decoder), use_coverage=True)
     off = batched_beam_decode(model, batch, beam_size=3, max_length=8)
-    on = batched_beam_decode(model, batch, beam_size=3, max_length=8, fusion=True)
+    with lazy():
+        on = batched_beam_decode(model, batch, beam_size=3, max_length=8)
     assert [h.token_ids for h in off] == [h.token_ids for h in on]
     assert [h.log_prob for h in off] == [h.log_prob for h in on]
 
@@ -266,61 +153,25 @@ def test_trainer_config_fusion_flag_matches_eager():
     dataset = QGDataset(examples, encoder, decoder)
     batch = collate(list(dataset), pad_id=0)
 
-    def run(fusion):
+    def run():
         model = _model("acnn", encoder, decoder, seed=3)
         trainer = Trainer(
             model,
             BatchIterator(dataset, batch_size=4, seed=1),
-            config=TrainerConfig(epochs=1, fusion=fusion),
+            config=TrainerConfig(epochs=1),
         )
         return trainer.train_batch(batch)
 
-    loss_off, norm_off = run(False)
-    loss_on, norm_on = run(True)
+    loss_off, norm_off = run()
+    with lazy():
+        loss_on, norm_on = run()
     assert loss_off == loss_on
     np.testing.assert_allclose(norm_on, norm_off, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
-# Node budget / allocation behavior of replayed steps
+# Node budget of fused training steps
 # ---------------------------------------------------------------------------
-def test_replayed_decode_allocates_nothing_after_trace():
-    """After the first step per shape signature, steps are pure replay:
-    zero tape nodes and zero new arena buffers (O(1) — in fact 0 — graph
-    work per step)."""
-    encoder, decoder, batch = _synthetic_batch(seed=3)
-    model = _model("acnn", encoder, decoder)
-    with TapeProfile() as profile:
-        batched_beam_decode(model, batch, beam_size=3, max_length=12, fusion=True)
-    assert profile.nodes == 0  # inference tape stays empty
-    assert profile.arena_hits > 0  # steps actually replayed
-    assert profile.arena_misses > 0  # ... after a trace phase
-
-    # Decode again with identical shapes through a shared compiled step:
-    # every step must be a pure arena replay (no new allocations at all).
-    step = compile_graph(model.step_log_probs)
-    model.eval()
-    with no_grad():
-        context = model.encode(batch)
-        from repro.models.base import expand_encoder_context
-
-        expanded = expand_encoder_context(context, 3)
-        state = model.initial_decoder_state(expanded)
-        prev = np.zeros(batch.size * 3, dtype=np.int64)
-        # Trace phase: the first call allocates every slot, the second
-        # fills the other half of each rotate=2 ping-pong slot.
-        _, state = step(prev, state, expanded)
-        _, state = step(prev, state, expanded)
-        trace_misses = step.arena.misses
-        with TapeProfile() as replay_profile:
-            for _ in range(5):
-                _, state = step(prev, state, expanded)
-    assert step.arena.misses == trace_misses  # no allocation growth
-    assert replay_profile.arena_misses == 0
-    assert replay_profile.arena_hits > 0
-    assert replay_profile.nodes == 0
-
-
 def test_fused_training_step_has_constant_node_budget():
     """Under fusion each decoder step adds a fixed small number of tape
     nodes regardless of how many elementary ops the chains would take."""
