@@ -4,8 +4,8 @@
 
 Builds a tiny ACNN, wraps it in the hardened inference service with every
 fault type armed at a 10% per-request rate, and drives 200 requests (plus
-a sprinkle of garbage traffic) through the micro-batcher on a manual
-clock. Then checks the serving layer's whole contract:
+a sprinkle of garbage traffic) through the continuous-batching engine on
+a manual clock. Then checks the serving layer's whole contract:
 
 1. zero uncaught exceptions — every request resolves to a typed outcome;
 2. >= 90% of the valid requests are served (any degradation rung counts);
@@ -14,12 +14,11 @@ clock. Then checks the serving layer's whole contract:
 4. faults were actually injected (the run proves resilience, not luck);
 5. a second run with the same seed is byte-identical;
 6. the telemetry trace is schema-valid end to end;
-7. a mixed-length chaos fleet through the continuous-batching engine
-   sustains >= 1.5x the static micro-batcher's served-requests per
-   simulated second (per-boundary stall faults advance a manual clock at
-   every encode/decode step, so "time" is deterministic step accounting),
-   byte-identical across repeat runs; the comparison is written to
-   ``BENCH_continuous_batching.json`` in the repo root.
+7. a mixed-length chaos fleet through the continuous-batching engine is
+   byte-identical across repeat runs; its served-requests per simulated
+   second (per-boundary stall faults advance a manual clock at every
+   encode/decode step, so "time" is deterministic step accounting) is
+   written to ``BENCH_continuous_batching.json`` in the repo root.
 
 The trace is left under ``<output_dir>`` (default ``results/serving``) so
 CI can upload it as an artifact. Exits non-zero on any violation.
@@ -62,10 +61,11 @@ def build_fleet(trace_path: str | None):
     from repro.models import ModelConfig, build_model
     from repro.observability import JsonlSink, Telemetry
     from repro.serving import (
+        ContinuousBatchingEngine,
+        EngineConfig,
         FaultPlan,
         InferenceService,
         ManualClock,
-        MicroBatcher,
         ServiceConfig,
     )
 
@@ -95,8 +95,10 @@ def build_fleet(trace_path: str | None):
             slow_seconds=0.2,
         ),
     )
-    batcher = MicroBatcher(service, max_batch=4, queue_limit=16)
-    return service, batcher, telemetry
+    engine = ContinuousBatchingEngine(
+        service, EngineConfig(max_rows=12, queue_limit=16, admit_per_step=4, pad_to=12)
+    )
+    return service, engine, telemetry
 
 
 def request_texts() -> list[str]:
@@ -115,17 +117,17 @@ def request_texts() -> list[str]:
 def run_fleet(trace_path: str | None):
     from repro.serving import GenerationRequest
 
-    service, batcher, telemetry = build_fleet(trace_path)
+    service, engine, telemetry = build_fleet(trace_path)
     outcomes = []
     for index, text in enumerate(request_texts()):
-        outcome = batcher.submit(
+        outcome = engine.submit(
             GenerationRequest(text, request_id=f"req-{index:03d}", beam_size=3, max_length=12)
         )
         if outcome is not None:
             outcomes.append(outcome)
         if (index + 1) % 4 == 0:
-            outcomes.extend(batcher.drain())
-    outcomes.extend(batcher.drain())
+            outcomes.extend(engine.drain())
+    outcomes.extend(engine.drain())
     report = service.report()
     telemetry.close()
     return outcomes, report
@@ -142,12 +144,11 @@ def rows(outcomes):
 
 
 # ----------------------------------------------------------------------
-# Static vs. continuous throughput under a mixed-length chaos fleet
+# Continuous-batching throughput under a mixed-length chaos fleet
 # ----------------------------------------------------------------------
 BENCH_REQUESTS = 96
 STEP_SECONDS = 0.05
 LENGTH_MIX = [4, 8, 12]  # cohabiting short/medium/long requests
-MIN_SPEEDUP = 1.5
 
 
 def build_bench_service():
@@ -206,20 +207,6 @@ def bench_requests():
     return requests
 
 
-def run_static_bench():
-    from repro.serving import MicroBatcher
-
-    service, clock = build_bench_service()
-    batcher = MicroBatcher(service, max_batch=4, queue_limit=BENCH_REQUESTS)
-    outcomes = []
-    for request in bench_requests():
-        outcome = batcher.submit(request)
-        if outcome is not None:
-            outcomes.append(outcome)
-    outcomes.extend(batcher.drain())
-    return outcomes, clock.now(), service
-
-
 def run_continuous_bench():
     from repro.serving import ContinuousBatchingEngine, EngineConfig
 
@@ -240,7 +227,6 @@ def run_continuous_bench():
 def run_throughput_bench(bench_path: str):
     import json
 
-    static_outcomes, static_seconds, _ = run_static_bench()
     continuous_outcomes, continuous_seconds, service, engine = run_continuous_bench()
 
     repeat_outcomes, repeat_seconds, _, _ = run_continuous_bench()
@@ -249,35 +235,24 @@ def run_throughput_bench(bench_path: str):
     )
     assert continuous_seconds == repeat_seconds
 
-    static_served = sum(1 for o in static_outcomes if o.status == "served")
     continuous_served = sum(1 for o in continuous_outcomes if o.status == "served")
-    assert len(static_outcomes) == len(continuous_outcomes) == BENCH_REQUESTS
-    assert static_served >= 0.9 * BENCH_REQUESTS
+    assert len(continuous_outcomes) == BENCH_REQUESTS
     assert continuous_served >= 0.9 * BENCH_REQUESTS
-
-    static_rate = static_served / static_seconds
     continuous_rate = continuous_served / continuous_seconds
-    speedup = continuous_rate / static_rate
 
     payload = {
         "benchmark": "continuous_batching",
         "description": (
             "served-requests per simulated second, mixed-length chaos fleet "
-            "(beam 3, lengths 4/8/12 interleaved): step-level continuous "
-            "batching vs the static MicroBatcher. Every encode/decode "
-            "boundary costs one deterministic clock stall, so throughput is "
-            "pure step accounting; NaN/error chaos rides along."
+            "(beam 3, lengths 4/8/12 interleaved) through the step-level "
+            "continuous-batching engine. Every encode/decode boundary costs "
+            "one deterministic clock stall, so throughput is pure step "
+            "accounting; NaN/error chaos rides along."
         ),
         "command": "PYTHONPATH=src python scripts/serving_smoke.py",
         "requests": BENCH_REQUESTS,
         "step_seconds": STEP_SECONDS,
         "length_mix": LENGTH_MIX,
-        "static": {
-            "frontend": "MicroBatcher(max_batch=4)",
-            "served": static_served,
-            "sim_seconds": round(static_seconds, 2),
-            "served_per_sim_second": round(static_rate, 3),
-        },
         "continuous": {
             "frontend": "ContinuousBatchingEngine(max_rows=12, admit_per_step=4)",
             "served": continuous_served,
@@ -285,8 +260,6 @@ def run_throughput_bench(bench_path: str):
             "served_per_sim_second": round(continuous_rate, 3),
             "engine_stats": engine.stats.as_dict(),
         },
-        "speedup": round(speedup, 2),
-        "min_speedup": MIN_SPEEDUP,
         "byte_identical_repeat": True,
     }
     with open(bench_path, "w", encoding="utf-8") as handle:
@@ -294,16 +267,8 @@ def run_throughput_bench(bench_path: str):
         handle.write("\n")
 
     print(
-        f"      static:     {static_served}/{BENCH_REQUESTS} served in "
-        f"{static_seconds:.2f}s sim -> {static_rate:.3f} req/s", flush=True,
-    )
-    print(
         f"      continuous: {continuous_served}/{BENCH_REQUESTS} served in "
-        f"{continuous_seconds:.2f}s sim -> {continuous_rate:.3f} req/s "
-        f"({speedup:.2f}x)", flush=True,
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"continuous batching speedup {speedup:.2f}x < required {MIN_SPEEDUP}x"
+        f"{continuous_seconds:.2f}s sim -> {continuous_rate:.3f} req/s", flush=True,
     )
     return payload
 
@@ -357,7 +322,7 @@ def main() -> int:
     assert report == report_again, "accounting differs across identical runs"
 
     bench_path = os.path.join(REPO_ROOT, "BENCH_continuous_batching.json")
-    print(f"[5/5] static vs continuous throughput -> {bench_path}", flush=True)
+    print(f"[5/5] continuous-batching throughput -> {bench_path}", flush=True)
     bench = run_throughput_bench(bench_path)
 
     degraded = served - report["served_by_rung"].get("beam", 0)
@@ -366,7 +331,8 @@ def main() -> int:
         f"{degraded} degraded, {statuses.get('rejected', 0)} rejected, "
         f"{report['shed']} shed, {report['failed']} failed; "
         f"{sum(report['injected'].values())} faults injected; "
-        f"continuous batching {bench['speedup']:.2f}x static)"
+        f"continuous batching {bench['continuous']['served_per_sim_second']:.3f} "
+        f"served/sim-s)"
     )
     return 0
 

@@ -486,7 +486,6 @@ def _cmd_serve(args) -> int:
         FaultPlan,
         GenerationRequest,
         InferenceService,
-        MicroBatcher,
         PoolConfig,
         RequestOutcome,
         ServiceConfig,
@@ -529,7 +528,7 @@ def _cmd_serve(args) -> int:
             policy=policy,
             service_config=service_config,
             engine_config=engine_config,
-            config=PoolConfig(workers=args.pool_workers),
+            config=PoolConfig(workers=args.pool_workers, queue_limit=args.queue_limit),
             telemetry=telemetry,
             cache_size=args.cache_size,
         )
@@ -548,6 +547,10 @@ def _cmd_serve(args) -> int:
                     beam_size=args.beam_size,
                     max_length=args.max_length,
                 )
+                # The queue limit bounds memory, not input length: make
+                # room before submitting instead of shedding the line.
+                while pool.queue_depth >= args.queue_limit:
+                    outcomes.extend(pool.pump())
                 outcome = pool.submit(request)
                 if outcome is not None:
                     outcomes.append(outcome)
@@ -582,12 +585,7 @@ def _cmd_serve(args) -> int:
         fault_plan=fault_plan,
         encoder_cache=cache,
     )
-    if args.batching == "continuous":
-        frontend = ContinuousBatchingEngine(service, engine_config)
-    else:
-        frontend = MicroBatcher(
-            service, max_batch=args.max_batch, queue_limit=args.queue_limit
-        )
+    engine = ContinuousBatchingEngine(service, engine_config)
     try:
         outcomes = []
         for index, line in enumerate(lines):
@@ -615,10 +613,11 @@ def _cmd_serve(args) -> int:
                 beam_size=args.beam_size,
                 max_length=args.max_length,
             )
-            outcome = frontend.submit(request)
+            outcomes.extend(engine.make_room())
+            outcome = engine.submit(request)
             if outcome is not None:
                 outcomes.append(outcome)
-        outcomes.extend(frontend.drain())
+        outcomes.extend(engine.drain())
         _print_outcomes(outcomes)
         print(json.dumps(service.report(), indent=2), file=sys.stderr)
     finally:
@@ -815,20 +814,19 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-length", type=int, default=24)
     serve.add_argument("--deadline", type=float, default=5.0, help="per-request seconds")
     serve.add_argument(
-        "--batching",
-        default="continuous",
-        choices=["continuous", "static"],
-        help="continuous = step-level frontier engine; static = MicroBatcher fallback",
+        "--queue-limit", type=int, default=32,
+        help=(
+            "bounded request queue; when full, queued work is served "
+            "before the next line is submitted"
+        ),
     )
-    serve.add_argument("--max-batch", type=int, default=8, help="static batching group size")
-    serve.add_argument("--queue-limit", type=int, default=32)
     serve.add_argument(
         "--max-rows", type=int, default=12,
-        help="continuous batching: frontier row budget (a request uses beam-size rows)",
+        help="frontier row budget (a request uses beam-size rows)",
     )
     serve.add_argument(
         "--admit-per-step", type=int, default=4,
-        help="continuous batching: max admissions per decode step",
+        help="max admissions per decode step",
     )
     serve.add_argument(
         "--cache-size", type=int, default=128,

@@ -4,26 +4,30 @@
 and the decode engines: typed request admission, per-request deadlines
 threaded through encode/decode, a degradation ladder (beam → beam-1 →
 greedy → truncated-greedy), a circuit breaker with jittered retry/backoff,
-bounded-queue micro-batching with load shedding, a step-level
-continuous-batching engine (:mod:`repro.serving.engine`) with an LRU
-encoder-state cache (:mod:`repro.serving.cache`), a supervised
-multi-process decode pool with exactly-once re-dispatch, graceful drain
-and prepare/commit hot weight reload (:mod:`repro.serving.pool`), and a
-deterministic fault-injection seam for chaos testing. Everything reports
-through the :mod:`repro.observability` telemetry hub.
+a step-level continuous-batching engine (:mod:`repro.serving.engine`)
+behind a bounded, load-shedding queue, an LRU encoder-state cache
+(:mod:`repro.serving.cache`), a supervised multi-process decode pool
+with exactly-once re-dispatch, graceful drain and prepare/commit hot
+weight reload (:mod:`repro.serving.pool`), and a deterministic
+fault-injection seam for chaos testing. Everything reports through the
+:mod:`repro.observability` telemetry hub.
 
 Quick start::
 
-    from repro.serving import GenerationRequest, InferenceService, MicroBatcher
+    from repro.serving import ContinuousBatchingEngine, GenerationRequest, InferenceService
 
     service = InferenceService(model, encoder_vocab, decoder_vocab)
     result = service.handle(GenerationRequest("the tower was built in 1889 ."))
     print(result.question, result.rung)
 
+    engine = ContinuousBatchingEngine(service)  # many requests, one frontier
+    engine.submit(GenerationRequest("mira designed the velkin tower .", request_id="r1"))
+    for outcome in engine.drain():
+        print(outcome.request_id, outcome.status)
+
 See docs/architecture.md, "Serving & graceful degradation".
 """
 
-from repro.serving.batcher import MicroBatcher
 from repro.serving.breaker import BreakerConfig, CircuitBreaker, RetryPolicy
 from repro.serving.cache import (
     CachedEncoderModel,
@@ -72,7 +76,6 @@ from repro.serving.service import (
 )
 
 __all__ = [
-    "MicroBatcher",
     "BreakerConfig",
     "CircuitBreaker",
     "RetryPolicy",

@@ -3,8 +3,8 @@
 Millions of users asking about the same passages re-run the same encoder
 over the same tokens. The cache sits directly in front of the encoder
 (:class:`CachedEncoderModel` is a model proxy, so every decode path —
-ladder rungs, the micro-batcher's solo fallback, the continuous engine —
-hits it without knowing it exists) and stores the full
+the continuous engine's frontier admissions and the ladder rungs of its
+solo fallback — hits it without knowing it exists) and stores the full
 :class:`~repro.models.base.EncoderContext` of single-example batches.
 
 The contract is **byte identity**: a cache hit must produce bit-identical

@@ -1,14 +1,14 @@
 """Step-level continuous batching over the flattened beam frontier.
 
-:class:`~repro.serving.batcher.MicroBatcher` runs homogeneous *fixed*
-batches: a group enters the decoder together and leaves together, so one
-slow (long, wide-beam) request head-of-line blocks its batchmates, idle
-row slots stay idle until the whole batch returns, and a request that
-arrives mid-flight waits a full batch turnaround. The continuous engine
-removes the batch boundary entirely (Orca-style iteration-level
-scheduling): the unit of scheduling is one *decode step* of a live
-frontier of ``(sum of beam sizes)`` rows, and between every step the
-engine
+The engine is the single-process serving frontend. It has no batch
+boundary (Orca-style iteration-level scheduling): the unit of scheduling
+is one *decode step* of a live frontier of ``(sum of beam sizes)`` rows,
+so one slow (long, wide-beam) request never head-of-line blocks the
+others, and a request that arrives mid-flight takes free rows at the
+next step instead of waiting out a batch turnaround. Submissions wait in
+one bounded FIFO queue (``EngineConfig.queue_limit``); a submit against a
+full queue is shed as ``queue_full`` instead of growing an unbounded
+backlog. Between every step the engine
 
 - **retires** finished rows immediately (EOS/stop-rule/max-length), and
   routes deadline-expired rows to the degradation ladder's floor;
@@ -62,7 +62,7 @@ from repro.models.base import (
 from repro.observability import nonfinite_sentinel
 from repro.serving.cache import pad_batch
 from repro.serving.deadline import Deadline
-from repro.serving.errors import BreakerOpen, RejectedRequest, RequestFailed
+from repro.serving.errors import BreakerOpen, RejectedRequest
 from repro.serving.ladder import build_ladder
 from repro.serving.requests import GenerationRequest
 from repro.serving.service import InferenceService, RequestOutcome
@@ -115,20 +115,9 @@ class EngineStats:
     oversize: int = 0
     """Requests too long/wide for the frontier, served solo."""
     duplicate_results: int = 0
-    """Same-id frontier completions dropped by the idempotency guard."""
+    """Frontier completions the service's idempotency guard counted as
+    duplicates (a re-dispatched request finishing a second time)."""
     peak_rows: int = 0
-    _served_ids: set[str] = field(default_factory=set, repr=False)
-
-    def note_first_completion(self, request_id: str) -> bool:
-        """Idempotency guard mirroring ``ServiceStats.note_first_completion``:
-        a re-dispatched request may finish in two frontiers, but only the
-        first completion counts. Empty ids carry no identity."""
-        if not request_id:
-            return True
-        if request_id in self._served_ids:
-            return False
-        self._served_ids.add(request_id)
-        return True
 
     def as_dict(self) -> dict:
         return {
@@ -195,7 +184,6 @@ def _concat_states(a: DecoderStepState, b: DecoderStepState) -> DecoderStepState
 class ContinuousBatchingEngine:
     """Continuous-batching serving over an :class:`InferenceService`.
 
-    The API mirrors :class:`~repro.serving.batcher.MicroBatcher`:
     ``submit`` enqueues (returning an outcome only when the request never
     entered the queue), ``step`` advances the frontier by one decode step,
     and ``drain`` steps until nothing is queued or in flight. The core is
@@ -377,6 +365,18 @@ class ContinuousBatchingEngine:
         self._gauges()
         return outcomes
 
+    def make_room(self) -> list[RequestOutcome]:
+        """Step until the queue has room for one more submit.
+
+        For callers that hold their own backlog (an input file, a pool
+        coordinator's dispatches): the queue limit then bounds memory, not
+        how much work they may hand over without a ``queue_full`` shed.
+        """
+        outcomes: list[RequestOutcome] = []
+        while self.queue_depth >= self.config.queue_limit:
+            outcomes.extend(self.step())
+        return outcomes
+
     def drain(self) -> list[RequestOutcome]:
         """Step until nothing is queued or in flight."""
         outcomes: list[RequestOutcome] = []
@@ -540,8 +540,7 @@ class ContinuousBatchingEngine:
                 slot.request.request_id, "failed", error=type(error).__name__
             )
         service.breaker.record_success()
-        service._note_served(result)
-        if self.stats.note_first_completion(slot.request.request_id):
+        if service._note_served(result):
             self.stats.served_in_frontier += 1
         else:
             self.stats.duplicate_results += 1
@@ -556,19 +555,7 @@ class ContinuousBatchingEngine:
         """The per-request fallback: full ladder, retries, own accounting."""
         self.stats.solo_fallbacks += 1
         self.service.telemetry.counter("serving.engine.solo_fallback")
-        try:
-            result = self.service.handle_admitted(request, encoded, deadline)
-        except BreakerOpen as error:
-            return RequestOutcome(
-                request.request_id, "shed", error=type(error).__name__,
-                reason="breaker_open",
-            )
-        except RequestFailed as error:
-            return RequestOutcome(
-                request.request_id, "failed",
-                error=type(error.cause).__name__ if error.cause else "unknown",
-            )
-        return RequestOutcome(request.request_id, "served", result=result)
+        return self.service.serve_admitted(request, encoded, deadline)
 
     def _dump_frontier(self, outcomes: list[RequestOutcome]) -> None:
         """A shared-step fault cannot be attributed to one row: everything

@@ -288,6 +288,8 @@ def _pool_worker_main(
             if kind == "serve":
                 request: GenerationRequest = message[1]
                 link.inject()
+                for outcome in engine.make_room():
+                    link.send("result", outcome, fingerprint)
                 immediate = engine.submit(request)
                 if immediate is not None:
                     link.send("result", immediate, fingerprint)
@@ -668,6 +670,8 @@ class ServingPool:
         engine = self._inline()
         tickets, self._pending = list(self._pending), deque()
         for ticket in tickets:
+            for outcome in engine.make_room():
+                self._note_inline(outcome)
             immediate = engine.submit(ticket.request)
             if immediate is not None:
                 self._note_inline(immediate)

@@ -223,16 +223,18 @@ class InferenceService:
         self.telemetry.counter("serving.shed")
         self.telemetry.counter(f"serving.shed.{reason}")
 
-    def _note_served(self, result: GenerationResult) -> None:
+    def _note_served(self, result: GenerationResult) -> bool:
+        """Count one completion; ``False`` when it is a duplicate."""
         if not self.stats.note_first_completion(result.request_id):
             self.stats.duplicate_results += 1
             self.telemetry.counter("serving.duplicate_result")
-            return
+            return False
         self.stats.served += 1
         self.stats.bump(self.stats.served_by_rung, result.rung)
         self.telemetry.counter("serving.served")
         self.telemetry.counter(f"serving.rung.{result.rung}")
         self.telemetry.observe("serving.latency_seconds", result.latency_seconds)
+        return True
 
     def _note_failed(self) -> None:
         self.stats.failed += 1
@@ -379,12 +381,23 @@ class InferenceService:
     def serve(self, request: GenerationRequest) -> RequestOutcome:
         """Non-raising wrapper: every typed error becomes an outcome row."""
         try:
-            result = self.handle(request)
+            encoded = self.admit(request)
         except RejectedRequest as error:
             return RequestOutcome(
                 request.request_id, "rejected", error=type(error).__name__,
                 reason=error.reason,
             )
+        return self.serve_admitted(request, encoded, self.start_deadline(request))
+
+    def serve_admitted(
+        self,
+        request: GenerationRequest,
+        encoded: EncodedExample,
+        deadline: Deadline,
+    ) -> RequestOutcome:
+        """:meth:`handle_admitted` with its typed errors mapped to outcomes."""
+        try:
+            result = self.handle_admitted(request, encoded, deadline)
         except BreakerOpen as error:
             return RequestOutcome(
                 request.request_id, "shed", error=type(error).__name__,

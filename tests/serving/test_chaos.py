@@ -1,9 +1,10 @@
 """The chaos suite: sustained seeded faults against the full serving stack.
 
-Acceptance shape: a fleet of requests through the micro-batcher with every
-fault type armed at a 10% per-request rate must finish with zero uncaught
-exceptions, a served rate >= 90% (any rung counts), internally consistent
-accounting, and byte-identical outputs when repeated with the same seed.
+Acceptance shape: a fleet of requests through the continuous-batching
+engine with every fault type armed at a 10% per-request rate must finish
+with zero uncaught exceptions, a served rate >= 90% (any rung counts),
+internally consistent accounting, and byte-identical outputs when
+repeated with the same seed.
 """
 
 from collections import Counter
@@ -17,7 +18,6 @@ from repro.serving import (
     GenerationRequest,
     InferenceService,
     ManualClock,
-    MicroBatcher,
     ServiceConfig,
 )
 
@@ -25,38 +25,6 @@ from conftest import DECODER, ENCODER, build_tiny_model, request_texts
 
 NUM_REQUESTS = 120
 FAULT_RATE = 0.1
-
-
-def run_fleet(model, seed: int):
-    clock = ManualClock()
-    service = InferenceService(
-        model,
-        ENCODER,
-        DECODER,
-        config=ServiceConfig(default_deadline_seconds=2.0),
-        clock=clock,
-        telemetry=Telemetry([]),
-        fault_plan=FaultPlan(
-            seed=seed,
-            per_request=True,
-            nan_rate=FAULT_RATE,
-            slow_rate=FAULT_RATE,
-            error_rate=FAULT_RATE,
-            slow_seconds=0.2,
-        ),
-    )
-    batcher = MicroBatcher(service, max_batch=4, queue_limit=16)
-    outcomes = []
-    for index, text in enumerate(request_texts(NUM_REQUESTS, seed=555)):
-        outcome = batcher.submit(
-            GenerationRequest(text, request_id=f"req-{index:03d}", beam_size=3, max_length=12)
-        )
-        if outcome is not None:
-            outcomes.append(outcome)
-        if (index + 1) % 4 == 0:
-            outcomes.extend(batcher.drain())
-    outcomes.extend(batcher.drain())
-    return outcomes, service
 
 
 def outcome_rows(outcomes):
@@ -72,54 +40,6 @@ def outcome_rows(outcomes):
     return rows
 
 
-def test_chaos_fleet_survives_and_accounts():
-    outcomes, service = run_fleet(build_tiny_model(), seed=7)
-
-    # Every request came back exactly once, through a typed outcome.
-    assert len(outcomes) == NUM_REQUESTS
-    assert sorted(o.request_id for o in outcomes) == sorted(
-        f"req-{i:03d}" for i in range(NUM_REQUESTS)
-    )
-
-    statuses = Counter(o.status for o in outcomes)
-    assert statuses["served"] >= 0.9 * NUM_REQUESTS
-
-    # The plan really injected faults; the fleet served through them.
-    report = service.report()
-    assert sum(report["injected"].values()) > 0
-
-    # Ledger agrees with the outcomes and with itself.
-    stats = service.stats
-    assert stats.finished == NUM_REQUESTS
-    assert stats.served == statuses["served"]
-    assert stats.shed == statuses.get("shed", 0)
-    assert stats.failed == statuses.get("failed", 0)
-    assert stats.rejected == statuses.get("rejected", 0)
-    assert sum(stats.served_by_rung.values()) == stats.served
-    assert sum(stats.shed_by_reason.values()) == stats.shed
-
-
-def test_chaos_fleet_is_byte_deterministic():
-    model = build_tiny_model()
-    first_outcomes, first_service = run_fleet(model, seed=7)
-    second_outcomes, second_service = run_fleet(model, seed=7)
-    assert outcome_rows(first_outcomes) == outcome_rows(second_outcomes)
-    assert first_service.report() == second_service.report()
-
-
-def test_chaos_different_seed_changes_fault_schedule():
-    model = build_tiny_model()
-    _, first_service = run_fleet(model, seed=7)
-    _, second_service = run_fleet(model, seed=8)
-    assert (
-        first_service.report()["injected"] != second_service.report()["injected"]
-        or first_service.report() != second_service.report()
-    )
-
-
-# ----------------------------------------------------------------------
-# The same fleet through the continuous-batching engine
-# ----------------------------------------------------------------------
 def run_continuous_fleet(model, seed: int, with_cache: bool = False):
     clock = ManualClock()
     cache = EncoderStateCache(capacity=32, telemetry=Telemetry([])) if with_cache else None
@@ -186,7 +106,9 @@ def test_continuous_chaos_fleet_survives_and_accounts():
     assert stats.served == statuses["served"]
     assert stats.shed == statuses.get("shed", 0)
     assert stats.failed == statuses.get("failed", 0)
+    assert stats.rejected == statuses.get("rejected", 0)
     assert sum(stats.served_by_rung.values()) == stats.served
+    assert sum(stats.shed_by_reason.values()) == stats.shed
 
 
 def test_continuous_chaos_fleet_is_byte_deterministic():
@@ -213,3 +135,13 @@ def test_continuous_chaos_fleet_with_cache_is_byte_deterministic():
 
     plain_outcomes, _, _ = run_continuous_fleet(model, seed=7, with_cache=False)
     assert outcome_rows(cached_outcomes) == outcome_rows(plain_outcomes)
+
+
+def test_chaos_different_seed_changes_fault_schedule():
+    model = build_tiny_model()
+    _, first_service, _ = run_continuous_fleet(model, seed=7)
+    _, second_service, _ = run_continuous_fleet(model, seed=8)
+    assert (
+        first_service.report()["injected"] != second_service.report()["injected"]
+        or first_service.report() != second_service.report()
+    )

@@ -250,6 +250,12 @@ def test_full_queue_sheds_typed_outcomes():
     served = engine.drain()
     assert all(o.status == "served" for o in served)
     assert len(served) + len(shed) == len(texts)
+    # Ledger and outcomes agree exactly: a shed request was admitted first.
+    stats = engine.service.stats
+    assert stats.admitted == len(texts)
+    assert stats.served == len(served)
+    assert stats.shed_by_reason == {"queue_full": len(shed)}
+    assert stats.finished == len(texts)
 
 
 def test_open_breaker_sheds_at_admission():
@@ -276,6 +282,8 @@ def test_rejected_requests_never_enter_the_queue():
     outcome = engine.submit(GenerationRequest("", request_id="bad"))
     assert outcome.status == "rejected"
     assert engine.queue_depth == 0
+    assert engine.service.stats.rejected == 1
+    assert engine.service.stats.admitted == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,12 @@
-"""Queue-latency fairness: the regression the continuous engine fixes.
+"""Queue-latency fairness: a late arrival is not billed for the batch in flight.
 
-The latent `MicroBatcher` unfairness: a request that arrives while a
-batch is in flight waits the *full batch turnaround* before it is even
-looked at — even when the frontier has idle row capacity the whole time.
-A short request stuck behind a long batch pays the long batch's bill.
-
-The continuous engine removes the batch boundary: the late arrival is
-admitted into free rows at the next decode step and finishes on its own
-schedule. Both halves are pinned here — the bad bound *holds* for the
-micro-batcher (this is the seed-failing shape: it documents the defect
-the engine exists to fix) and the good bound holds for the engine.
+A request that arrives while a long cohort is decoding must not wait for
+that cohort to finish. The continuous engine has no batch boundary: the
+late arrival is admitted into free rows at the next decode step and
+finishes on its own schedule, so its latency is its own work plus one
+admission boundary. A fixed-batch frontend would instead charge it the
+long cohort's full turnaround; the absolute bounds below fail if that
+head-of-line blocking ever comes back.
 
 Time is simulated: a per-boundary stall plan advances a manual clock at
 every encode and decode step, so "latency" is deterministic step
@@ -24,16 +21,14 @@ from repro.serving import (
     GenerationRequest,
     InferenceService,
     ManualClock,
-    MicroBatcher,
     ServiceConfig,
 )
 
 from conftest import DECODER, ENCODER, build_tiny_model, request_texts
 
 STEP_SECONDS = 0.1
-LONG_LENGTH = 20   # the batch in flight when the short request arrives
+LONG_LENGTH = 20   # the cohort in flight when the short request arrives
 SHORT_LENGTH = 2   # the late arrival: two decode steps of real work
-ARRIVAL = 0.05     # the short request arrives just after the batch starts
 
 
 def build_timed_service(clock):
@@ -61,38 +56,8 @@ def make_requests():
     return long_batch, short
 
 
-def test_microbatcher_late_arrival_waits_full_batch_turnaround():
-    """The defect, pinned: under the micro-batcher the short request's
-    arrival-to-completion latency is dominated by the long batch it had
-    no part in. This is the seed-failing bound the engine fixes — if the
-    micro-batcher ever serves the late arrival faster than the long
-    batch's turnaround, this test (and the defect) disappear together."""
-    clock = ManualClock()
-    service = build_timed_service(clock)
-    batcher = MicroBatcher(service, max_batch=4, queue_limit=16)
-    long_batch, short = make_requests()
-
-    for request in long_batch:
-        assert batcher.submit(request) is None
-    # The batch goes in flight at t=0. The short request arrives at
-    # t=ARRIVAL — mid-flight, so the synchronous pump cannot see it until
-    # the whole group returns.
-    batcher.pump()
-    turnaround = clock.now()
-    assert turnaround >= LONG_LENGTH * STEP_SECONDS  # the batch was long
-
-    assert batcher.submit(short) is None
-    batcher.drain()
-    short_latency = clock.now() - ARRIVAL
-
-    # The unfairness bound: the short request could not beat the long
-    # batch's turnaround, despite needing SHORT_LENGTH steps of work.
-    assert short_latency >= turnaround
-    assert short_latency >= LONG_LENGTH * STEP_SECONDS
-
-
 def test_continuous_engine_bounds_late_arrival_latency():
-    """The fix, pinned: the engine admits the late arrival into free rows
+    """The bound, pinned: the engine admits the late arrival into free rows
     at the next step boundary; its latency is its own work plus a small
     admission delay — independent of the long cohort's total turnaround."""
     clock = ManualClock()
@@ -129,40 +94,3 @@ def test_continuous_engine_bounds_late_arrival_latency():
 
     remaining = engine.drain()
     assert {o.status for o in list(outcomes) + list(remaining)} == {"served"}
-
-
-def test_engine_latency_advantage_is_large():
-    """End-to-end comparison on identical fleets: the engine's late-arrival
-    latency beats the micro-batcher's by the length ratio, not by noise."""
-
-    def batcher_latency():
-        clock = ManualClock()
-        batcher = MicroBatcher(build_timed_service(clock), max_batch=4)
-        long_batch, short = make_requests()
-        for request in long_batch:
-            batcher.submit(request)
-        batcher.pump()
-        batcher.submit(short)
-        batcher.drain()
-        return clock.now() - ARRIVAL
-
-    def engine_latency():
-        clock = ManualClock()
-        engine = ContinuousBatchingEngine(
-            build_timed_service(clock),
-            EngineConfig(max_rows=10, admit_per_step=4, pad_to=12),
-        )
-        long_batch, short = make_requests()
-        for request in long_batch:
-            engine.submit(request)
-        engine.step()
-        arrived_at = clock.now()
-        engine.submit(short)
-        outcomes = []
-        while not any(o.request_id == "short" for o in outcomes):
-            outcomes.extend(engine.step())
-        latency = clock.now() - arrived_at
-        engine.drain()
-        return latency
-
-    assert engine_latency() * 4 < batcher_latency()

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.data.batching import collate
+from repro.data.vocabulary import PAD_ID
+from repro.models import ModelConfig, build_model
 from repro.models.base import NonFiniteLogits
 from repro.serving import (
     FaultPlan,
@@ -12,9 +15,10 @@ from repro.serving import (
     ServiceConfig,
     build_ladder,
     is_retryable,
+    run_rung,
 )
 
-from conftest import build_service, build_tiny_model
+from conftest import DECODER, ENCODER, build_service, build_tiny_model
 
 
 class FailFirstN:
@@ -69,6 +73,25 @@ def test_ladder_shape():
     floor = build_ladder(3, 24, truncated_length=8)[-1]
     assert not floor.heed_deadline
     assert floor.max_length == 8
+
+
+def test_beam_1_and_greedy_rungs_decode_differently():
+    """Why the ladder keeps both middle rungs: they are not the same decode.
+
+    Greedy stops at the first argmax EOS. Beam-1 records that EOS as a
+    finished hypothesis, keeps extending the best non-EOS continuation and
+    then picks by length-normalized score. On this untrained Seq2Seq input
+    the longer continuation wins, so greedy's answer is a strict prefix of
+    beam-1's. Collapsing the two rungs would change this output."""
+    config = ModelConfig(embedding_dim=8, hidden_size=10, num_layers=1, dropout=0.0, seed=0)
+    service = build_service(model=build_model("seq2seq", config, len(ENCODER), len(DECODER)))
+    request = GenerationRequest("glass draxby through tower bridge born", max_length=24)
+    batch = collate([service.admit(request)], pad_id=PAD_ID)
+    _, beam_1, greedy, _ = build_ladder(3, 24)
+    beam_1_ids = run_rung(beam_1, service.model, batch)[0].token_ids
+    greedy_ids = run_rung(greedy, service.model, batch)[0].token_ids
+    assert len(greedy_ids) < len(beam_1_ids)
+    assert beam_1_ids[: len(greedy_ids)] == greedy_ids
 
 
 def test_deadline_pressure_degrades_to_floor():

@@ -111,13 +111,13 @@ def test_serve_continuous_default(trained_bundle, tmp_path, capsys):
     assert "encoder_cache" in report  # cache is on by default
 
 
-def test_serve_static_fallback_flag(trained_bundle, tmp_path, capsys):
+def test_serve_without_encoder_cache(trained_bundle, tmp_path, capsys):
     sentences = tmp_path / "sentences.txt"
     sentences.write_text("velkorim was born in porzana in 1873 .\n")
     code = main(
         [
             "serve", "--bundle", str(trained_bundle), "--input", str(sentences),
-            "--batching", "static", "--cache-size", "0",
+            "--cache-size", "0",
         ]
     )
     assert code == 0
@@ -127,9 +127,36 @@ def test_serve_static_fallback_flag(trained_bundle, tmp_path, capsys):
     assert "encoder_cache" not in report
 
 
+@pytest.mark.parametrize(
+    "queue_limit, workers",
+    [("4", "0"), ("4", "1"), ("2", "1")],
+    ids=["single", "pool", "pool-limit-below-worker-in-flight"],
+)
+def test_serve_input_longer_than_queue_limit_is_all_served(
+    trained_bundle, tmp_path, capsys, queue_limit, workers
+):
+    """The queue limit bounds memory, not input length: no line is shed,
+    neither by the frontend queue nor by a pool worker's engine queue."""
+    lines = [
+        "velkorim was born in porzana in 1873 .",
+        "the obrenta canal links mirova and telsk .",
+    ] * 5
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("\n".join(lines) + "\n")
+    code = main(
+        [
+            "serve", "--bundle", str(trained_bundle), "--input", str(sentences),
+            "--queue-limit", queue_limit, "--pool-workers", workers,
+        ]
+    )
+    assert code == 0
+    report = json.loads(capsys.readouterr().err)
+    assert report["served"] == 10
+    assert report["shed"] == 0
+
+
 def test_serve_parser_defaults():
     args = build_parser().parse_args(["serve", "--bundle", "x"])
-    assert args.batching == "continuous"
     assert args.max_rows == 12
     assert args.admit_per_step == 4
     assert args.cache_size == 128
