@@ -61,6 +61,7 @@ def build_fleet(trace_path: str | None):
     from repro.models import ModelConfig, build_model
     from repro.observability import JsonlSink, Telemetry
     from repro.serving import (
+        AdmissionPolicy,
         ContinuousBatchingEngine,
         EngineConfig,
         FaultPlan,
@@ -83,6 +84,7 @@ def build_fleet(trace_path: str | None):
         model,
         encoder,
         decoder,
+        policy=AdmissionPolicy(max_source_tokens=12),
         config=ServiceConfig(default_deadline_seconds=2.0),
         clock=ManualClock(),
         telemetry=telemetry,
@@ -96,7 +98,7 @@ def build_fleet(trace_path: str | None):
         ),
     )
     engine = ContinuousBatchingEngine(
-        service, EngineConfig(max_rows=12, queue_limit=16, admit_per_step=4, pad_to=12)
+        service, EngineConfig(max_rows=12, queue_limit=16, admit_per_step=4)
     )
     return service, engine, telemetry
 
@@ -158,7 +160,13 @@ def build_bench_service():
     from repro.data import QGDataset, QGExample
     from repro.models import ModelConfig, build_model
     from repro.observability import Telemetry
-    from repro.serving import FaultPlan, InferenceService, ManualClock, ServiceConfig
+    from repro.serving import (
+        AdmissionPolicy,
+        FaultPlan,
+        InferenceService,
+        ManualClock,
+        ServiceConfig,
+    )
 
     examples = [
         QGExample(sentence=tuple(s.split()), paragraph=tuple(s.split()),
@@ -173,6 +181,7 @@ def build_bench_service():
         model,
         encoder,
         decoder,
+        policy=AdmissionPolicy(max_source_tokens=12),
         # Deadlines off the table: this phase measures pure throughput.
         config=ServiceConfig(default_deadline_seconds=10_000.0),
         clock=clock,
@@ -213,7 +222,7 @@ def run_continuous_bench():
     service, clock = build_bench_service()
     engine = ContinuousBatchingEngine(
         service,
-        EngineConfig(max_rows=12, queue_limit=BENCH_REQUESTS, admit_per_step=4, pad_to=12),
+        EngineConfig(max_rows=12, queue_limit=BENCH_REQUESTS, admit_per_step=4),
     )
     outcomes = []
     for request in bench_requests():

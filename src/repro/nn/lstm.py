@@ -7,7 +7,9 @@ driven one step at a time.
 
 Padding is handled with a boolean pad mask: at padded positions the recurrent
 state is carried through unchanged, so variable-length batches give the same
-final states as running each sequence alone.
+final states as running each sequence alone. Trailing steps that pad every
+row are not run at all, so padding a batch further never changes a byte of
+what it encodes to.
 """
 
 from __future__ import annotations
@@ -165,6 +167,22 @@ class LSTM(Module):
             ``final_states`` the per-layer state after the last step.
         """
         batch_size, time_steps = inputs.shape[0], inputs.shape[1]
+        if pad_mask is not None:
+            # Trailing steps that pad every row carry the state and emit
+            # zeros, so skip them outright. That makes the result byte-for-
+            # byte independent of how far the batch was padded: BLAS rounds
+            # a row of the input projection differently depending on how
+            # many rows the matmul has.
+            live = np.flatnonzero(~pad_mask.all(axis=0))
+            steps = int(live[-1]) + 1 if live.size else time_steps
+            if steps < time_steps:
+                outputs, final_states = self.forward(
+                    inputs[:, :steps], pad_mask[:, :steps], initial_states, reverse
+                )
+                tail = np.zeros(
+                    (batch_size, time_steps - steps, outputs.shape[2]), dtype=outputs.data.dtype
+                )
+                return concat([outputs, Tensor(tail)], axis=1), final_states
         states = list(initial_states) if initial_states is not None else self.initial_states(batch_size)
         time_order = range(time_steps - 1, -1, -1) if reverse else range(time_steps)
 

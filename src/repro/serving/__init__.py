@@ -35,6 +35,7 @@ from repro.serving.cache import (
     EncoderStateCache,
     fingerprint_model,
     pad_batch,
+    pad_context,
 )
 from repro.serving.deadline import Clock, Deadline, ManualClock
 from repro.serving.errors import (
@@ -84,6 +85,7 @@ __all__ = [
     "EncoderStateCache",
     "fingerprint_model",
     "pad_batch",
+    "pad_context",
     "ContinuousBatchingEngine",
     "EngineConfig",
     "EngineStats",

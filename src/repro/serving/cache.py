@@ -5,7 +5,11 @@ over the same tokens. The cache sits directly in front of the encoder
 (:class:`CachedEncoderModel` is a model proxy, so every decode path —
 the continuous engine's frontier admissions and the ladder rungs of its
 solo fallback — hits it without knowing it exists) and stores the full
-:class:`~repro.models.base.EncoderContext` of single-example batches.
+:class:`~repro.models.base.EncoderContext` of single-example batches at
+the source's natural width. :class:`PaddedEncoderModel` sits outside the
+cache and pads every single-example context to the service's one decode
+width (:func:`pad_context`), so the encoder only ever runs over real
+tokens while every serving path decodes at the same width.
 
 The contract is **byte identity**: a cache hit must produce bit-identical
 decode outputs to a miss. Three design points guarantee it:
@@ -13,7 +17,7 @@ decode outputs to a miss. Three design points guarantee it:
 - the key is a SHA-256 over everything the encode depends on — the
   encoder-vocabulary ids, the extended-vocabulary ids (two sources can
   share ``src_ids`` while differing in which tokens are copy-visible),
-  the padded source width, and a fingerprint of the model's weights and
+  the batch's source width, and a fingerprint of the model's weights and
   configuration;
 - stored contexts are frozen (every backing array is marked read-only),
   so a later request cannot mutate what an earlier one cached;
@@ -38,13 +42,16 @@ from repro.data.batching import Batch
 from repro.data.vocabulary import PAD_ID
 from repro.models.base import EncoderContext
 from repro.observability import get_telemetry
+from repro.tensor.core import Tensor
 
 __all__ = [
     "fingerprint_model",
     "pad_batch",
+    "pad_context",
     "CacheStats",
     "EncoderStateCache",
     "CachedEncoderModel",
+    "PaddedEncoderModel",
 ]
 
 
@@ -70,11 +77,10 @@ def pad_batch(batch: Batch, width: int) -> Batch:
     """Pad every source-axis array of ``batch`` out to ``width`` positions.
 
     The LSTM encoder carries state through padded positions unchanged and
-    emits zeros there, and attention masks them to exactly zero weight, so
-    the padded positions are numerically inert — but a *fixed* width is
-    what makes the continuous engine's frontier byte-stable: every request
-    decodes at the same source width whether it runs alone or next to
-    requests of other lengths.
+    emits zeros there, so encoding a padded batch costs the full width and
+    yields exactly what :func:`pad_context` builds from the unpadded
+    encode. Serving pads the encoder *output* instead; this helper is the
+    reference that equivalence is tested against.
     """
     current = batch.src.shape[1]
     if current == width:
@@ -98,6 +104,32 @@ def pad_batch(batch: Batch, width: int) -> Batch:
         answer_mask=pad(batch.answer_mask, 0.0),
         oov_tokens=batch.oov_tokens,
         examples=batch.examples,
+    )
+
+
+def pad_context(context: EncoderContext, width: int) -> EncoderContext:
+    """Pad an encoded batch's source axis out to ``width`` positions.
+
+    Zero encoder states, ``True`` in the pad mask and ``PAD_ID`` in the
+    extended ids: byte for byte what encoding the :func:`pad_batch`-padded
+    batch yields. Attention masks the extra positions to exactly zero
+    weight, but a *fixed* decode width is what keeps the continuous
+    engine's frontier byte-stable: the reduction shapes, and so the
+    rounding, never depend on who else is in flight. The bridged
+    ``initial_states`` and ``max_oov`` do not depend on the width.
+    """
+    current = context.src_ext.shape[1]
+    if current == width:
+        return context
+    if current > width:
+        raise ValueError(f"cannot pad a width-{current} context down to {width}")
+    extra = ((0, 0), (0, width - current))
+    return EncoderContext(
+        encoder_states=Tensor(np.pad(context.encoder_states.data, extra + ((0, 0),))),
+        src_pad_mask=np.pad(context.src_pad_mask, extra, constant_values=True),
+        src_ext=np.pad(context.src_ext, extra, constant_values=PAD_ID),
+        max_oov=context.max_oov,
+        initial_states=context.initial_states,
     )
 
 
@@ -183,7 +215,7 @@ class EncoderStateCache:
 
     # ------------------------------------------------------------------
     def key_for(self, batch: Batch) -> str:
-        """The content key of a single-example batch at its padded width."""
+        """The content key of a single-example batch at its source width."""
         example = batch.examples[0]
         digest = hashlib.sha256()
         digest.update(self.fingerprint.encode())
@@ -230,9 +262,11 @@ class CachedEncoderModel:
     shape every serving path produces: solo ladder decodes and the
     continuous engine's per-request admission encodes). Multi-example
     training/eval batches pass straight through. Everything else delegates
-    to the wrapped model, so the proxy composes with the fault-injection
-    seam: stacked as ``FaultInjectingModel(CachedEncoderModel(model))``,
-    injected encode faults still fire whether or not the lookup hits.
+    to the wrapped model, so the proxy composes with the other serving
+    seams: stacked as
+    ``FaultInjectingModel(PaddedEncoderModel(CachedEncoderModel(model)))``,
+    entries stay at natural width and injected encode faults still fire
+    whether or not the lookup hits.
     """
 
     def __init__(self, model, cache: EncoderStateCache) -> None:
@@ -252,3 +286,29 @@ class CachedEncoderModel:
             context = self._model.encode(batch)
             self.cache.put(key, context)
         return context
+
+
+class PaddedEncoderModel:
+    """A :class:`QuestionGenerator` proxy that pads single-example encodes.
+
+    The encoder runs at the source's natural width and the context is
+    padded to ``width`` afterwards (:func:`pad_context`), so a short
+    source costs a short encode while every serving path — frontier
+    admission and every solo-ladder rung — decodes at the one width.
+    Multi-example batches pass straight through. It wraps the cache, so
+    the cache stores natural-width contexts:
+    ``FaultInjectingModel(PaddedEncoderModel(CachedEncoderModel(model)))``.
+    """
+
+    def __init__(self, model, width: int) -> None:
+        self._model = model
+        self.width = width
+
+    def __getattr__(self, name: str):
+        return getattr(self._model, name)
+
+    def encode(self, batch: Batch) -> EncoderContext:
+        context = self._model.encode(batch)
+        if batch.size != 1:
+            return context
+        return pad_context(context, self.width)

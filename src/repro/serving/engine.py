@@ -20,10 +20,14 @@ Requests of different lengths, beam widths and ages cohabit the same
 matmul. The per-request decode is byte-identical to a solo run of the
 batched beam engine because three invariants hold:
 
-1. every request decodes at the same **fixed source width**
-   (``pad_to``) — attention over the extra padded positions contributes
-   exactly zero, and a fixed width means the reduction shapes (and hence
-   the floating-point rounding) never depend on who else is in flight;
+1. every request *decodes* at the same **fixed source width**, the
+   service's ``AdmissionPolicy.max_source_tokens`` — the encoder runs
+   over the source's real tokens only and the service pads its output
+   (:func:`~repro.serving.cache.pad_context`); attention over the padded
+   positions contributes exactly zero, and a fixed width means the
+   reduction shapes (and hence the floating-point rounding) never depend
+   on who else is in flight, nor on whether the frontier or the solo
+   ladder serves the request;
 2. candidate selection runs per request over its **own** extended-vocab
    columns (``V + its oov count``), so a neighbour with more OOV slots
    cannot widen — and thereby perturb — the candidate walk; the walk
@@ -60,7 +64,6 @@ from repro.models.base import (
     expand_encoder_context,
 )
 from repro.observability import nonfinite_sentinel
-from repro.serving.cache import pad_batch
 from repro.serving.deadline import Deadline
 from repro.serving.errors import BreakerOpen, RejectedRequest
 from repro.serving.ladder import build_ladder
@@ -81,10 +84,6 @@ class EngineConfig:
     """Bounded admission queue; submits beyond it are shed."""
     admit_per_step: int = 4
     """Most requests admitted into free slots per decode step."""
-    pad_to: int | None = None
-    """Fixed source width of every frontier row. ``None`` uses the
-    service's admission cap (``AdmissionPolicy.max_source_tokens``).
-    Requests longer than this are served on the solo path instead."""
 
     def __post_init__(self) -> None:
         if self.max_rows < 1:
@@ -93,8 +92,6 @@ class EngineConfig:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
         if self.admit_per_step < 1:
             raise ValueError(f"admit_per_step must be >= 1, got {self.admit_per_step}")
-        if self.pad_to is not None and self.pad_to < 1:
-            raise ValueError(f"pad_to must be >= 1, got {self.pad_to}")
 
 
 @dataclass
@@ -113,7 +110,8 @@ class EngineStats:
     solo_fallbacks: int = 0
     """Requests routed through the per-request ladder for any reason."""
     oversize: int = 0
-    """Requests too long/wide for the frontier, served solo."""
+    """Requests too wide (``beam_size > max_rows``) for the frontier,
+    served solo."""
     duplicate_results: int = 0
     """Frontier completions the service's idempotency guard counted as
     duplicates (a re-dispatched request finishing a second time)."""
@@ -152,7 +150,8 @@ class _Slot:
     deadline: Deadline
     submitted_at: float
     context: EncoderContext
-    """Beam-expanded, fixed-width encoder context for this request."""
+    """Beam-expanded encoder context for this request, padded to the
+    service's decode width."""
     max_oov: int
     rows: int
     live: list[Hypothesis]
@@ -199,11 +198,6 @@ class ContinuousBatchingEngine:
         self.service = service
         self.config = config if config is not None else EngineConfig()
         self.stats = EngineStats()
-        self.pad_to = (
-            self.config.pad_to
-            if self.config.pad_to is not None
-            else service.validator.policy.max_source_tokens
-        )
         self._queue: deque[_Pending] = deque()
         self._slots: list[_Slot] = []
         self._state: DecoderStepState | None = None
@@ -424,12 +418,8 @@ class ContinuousBatchingEngine:
                 )
                 continue
             rows_needed = pending.request.beam_size
-            oversize = (
-                rows_needed > self.config.max_rows
-                or len(pending.encoded.src_ids) > self.pad_to
-            )
-            if oversize:
-                # Too wide/long for the frontier; the solo path still serves it.
+            if rows_needed > self.config.max_rows:
+                # Too wide for the frontier; the solo path still serves it.
                 self._queue.popleft()
                 self.stats.oversize += 1
                 self.service.telemetry.counter("serving.engine.oversize")
@@ -471,7 +461,7 @@ class ContinuousBatchingEngine:
             )
 
     def _encode(self, encoded: EncodedExample) -> EncoderContext:
-        batch = pad_batch(collate([encoded], pad_id=PAD_ID), self.pad_to)
+        batch = collate([encoded], pad_id=PAD_ID)
         model = self.service.model
         model.eval()
         with no_grad():

@@ -63,7 +63,8 @@ class AdmissionPolicy:
     """Validation limits; anything outside them is rejected, not crashed."""
 
     max_source_tokens: int = 200
-    """Hard cap on tokenized source length."""
+    """Hard cap on tokenized source length. It is also the service's one
+    decode width: every admitted source decodes padded to it."""
     truncate_to: int | None = None
     """When set, sources longer than ``max_source_tokens`` are truncated to
     this many tokens instead of rejected (length *coercion* rather than a
@@ -74,6 +75,15 @@ class AdmissionPolicy:
     and the output would be noise."""
     max_beam_size: int = 16
     max_target_length: int = 100
+
+    def __post_init__(self) -> None:
+        if self.truncate_to is not None and not (
+            1 <= self.truncate_to <= self.max_source_tokens
+        ):
+            raise ValueError(
+                f"truncate_to must be in [1, max_source_tokens="
+                f"{self.max_source_tokens}], got {self.truncate_to}"
+            )
 
 
 @dataclass

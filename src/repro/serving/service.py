@@ -34,7 +34,11 @@ from repro.data.vocabulary import PAD_ID, Vocabulary
 from repro.decoding.hypothesis import Hypothesis, extended_ids_to_tokens
 from repro.observability import emit_state_transition, get_telemetry
 from repro.serving.breaker import BreakerConfig, CircuitBreaker, RetryPolicy
-from repro.serving.cache import CachedEncoderModel, EncoderStateCache
+from repro.serving.cache import (
+    CachedEncoderModel,
+    EncoderStateCache,
+    PaddedEncoderModel,
+)
 from repro.serving.deadline import Clock, Deadline
 from repro.serving.errors import (
     BreakerOpen,
@@ -162,6 +166,11 @@ class InferenceService:
         is wrapped so single-example encodes hit the cache; the fault seam
         wraps *outside* the cache, so injected encode faults still fire on
         cache hits (a hit does not launder away the chaos).
+
+    Every single-example encode through :attr:`model` returns a context
+    padded to ``policy.max_source_tokens``, the service's one decode
+    width: the encoder runs at the source's natural width, and the
+    frontier and every solo-ladder rung decode at the same width.
     """
 
     def __init__(
@@ -193,6 +202,7 @@ class InferenceService:
         self.encoder_cache = encoder_cache
         if encoder_cache is not None:
             model = CachedEncoderModel(model, encoder_cache)
+        model = PaddedEncoderModel(model, self.validator.policy.max_source_tokens)
         self.injector: FaultInjector | None = None
         if fault_plan is not None and fault_plan.active:
             self.injector = FaultInjector(fault_plan, clock=self.clock)

@@ -8,6 +8,7 @@ before each submit instead of losing the overflow to the shed path.
 
 from repro.observability import Telemetry
 from repro.serving import (
+    AdmissionPolicy,
     ContinuousBatchingEngine,
     EngineConfig,
     GenerationRequest,
@@ -28,7 +29,8 @@ def make_requests(count):
 
 def test_make_room_keeps_the_queue_bounded_and_sheds_nothing():
     engine = ContinuousBatchingEngine(
-        build_service(), EngineConfig(max_rows=2, queue_limit=2, pad_to=12)
+        build_service(policy=AdmissionPolicy(max_source_tokens=12)),
+        EngineConfig(max_rows=2, queue_limit=2),
     )
     outcomes = []
     for request in make_requests(10):
@@ -42,7 +44,9 @@ def test_make_room_keeps_the_queue_bounded_and_sheds_nothing():
 
 
 def test_make_room_is_a_no_op_below_the_limit():
-    engine = ContinuousBatchingEngine(build_service(), EngineConfig(queue_limit=4, pad_to=12))
+    engine = ContinuousBatchingEngine(
+        build_service(policy=AdmissionPolicy(max_source_tokens=12)), EngineConfig(queue_limit=4)
+    )
     engine.submit(make_requests(1)[0])
     assert engine.make_room() == []
     assert engine.queue_depth == 1 and engine.stats.steps == 0

@@ -8,20 +8,29 @@ served against new parameters.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.data import QGDataset, QGExample
 from repro.data.batching import collate
 from repro.data.vocabulary import PAD_ID
 from repro.models import ModelConfig, build_model
 from repro.observability import Telemetry
 from repro.serving import (
+    AdmissionPolicy,
     CachedEncoderModel,
+    CacheStats,
+    ContinuousBatchingEngine,
     EncoderStateCache,
     GenerationRequest,
     fingerprint_model,
     pad_batch,
+    pad_context,
 )
+from repro.tensor.core import no_grad
+from repro.tensor.lazy import set_fusion_enabled
 
-from conftest import DECODER, ENCODER, build_service, request_texts
+from conftest import DECODER, ENCODER, WORDS, build_service, request_texts
 
 FAMILIES = ["acnn", "seq2seq"]
 
@@ -165,6 +174,10 @@ def test_cache_counters_flow_into_report():
     assert payload["capacity"] == 2
 
 
+def test_cache_stats_as_dict_keys():
+    assert set(CacheStats().as_dict()) == {"hits", "misses", "evictions", "invalidations"}
+
+
 def test_cache_rejects_nonpositive_capacity():
     with pytest.raises(ValueError):
         EncoderStateCache(capacity=0)
@@ -276,3 +289,104 @@ def test_pad_batch_pads_with_inert_values():
     assert padded.src_pad_mask[:, -3:].all()
     assert (padded.answer_mask[:, -3:] == 0.0).all()
     assert (padded.copy_match[:, :, -3:] == 0.0).all()
+
+
+# ----------------------------------------------------------------------
+# Natural-width encode: the cache stores it, the service pads it
+# ----------------------------------------------------------------------
+def test_frontier_admission_and_solo_ladder_share_one_entry():
+    """Both paths key the same natural-width batch: one miss, then a hit."""
+    text = request_texts(1, seed=3)[0]
+    cache = quiet_cache()
+    service = build_service(
+        encoder_cache=cache, policy=AdmissionPolicy(max_source_tokens=12)
+    )
+    engine = ContinuousBatchingEngine(service)
+    assert engine.submit(
+        GenerationRequest(text, request_id="frontier", beam_size=2, max_length=4)
+    ) is None
+    assert [o.status for o in engine.drain()] == ["served"]
+    assert (cache.stats.misses, cache.stats.hits) == (1, 0)
+    solo = service.serve(GenerationRequest(text, request_id="solo", beam_size=2, max_length=4))
+    assert solo.status == "served"
+    assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+
+
+def test_cache_stores_natural_width_and_the_service_decodes_padded():
+    cache = quiet_cache()
+    service = build_service(encoder_cache=cache)
+    encoded = service.admit(GenerationRequest(request_texts(1, seed=3)[0], request_id="x"))
+    batch = collate([encoded], pad_id=PAD_ID)
+    with no_grad():
+        served = service.model.encode(batch)
+    assert served.encoder_states.shape[1] == service.validator.policy.max_source_tokens
+    stored = cache.get(cache.key_for(batch))
+    assert stored.encoder_states.shape[1] == len(encoded.src_ids)
+
+
+# ----------------------------------------------------------------------
+# pad_context: padding the encoder output equals encoding a padded batch
+# ----------------------------------------------------------------------
+WIDTH = 12
+OOV_WORDS = ["qlorp", "zintu"]  # outside both vocabularies: copy-only slots
+
+
+@st.composite
+def sources(draw):
+    length = draw(st.integers(min_value=1, max_value=WIDTH))
+    tokens = tuple(draw(st.lists(
+        st.sampled_from(WORDS + OOV_WORDS), min_size=length, max_size=length
+    )))
+    start = draw(st.integers(min_value=0, max_value=length - 1))
+    stop = draw(st.integers(min_value=start + 1, max_value=length))
+    return tokens, tokens[start:stop]
+
+
+def encoded_batch(tokens, answer):
+    example = QGExample(sentence=tokens, paragraph=tokens, question=("?",), answer=answer)
+    return collate([QGDataset([example], ENCODER, DECODER)[0]], pad_id=PAD_ID)
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("fusion", [False, True], ids=["fusion_off", "fusion_on"])
+@pytest.mark.parametrize("family", ["acnn", "seq2seq", "du-attention"])
+@settings(max_examples=15, deadline=None)
+@given(source=sources())
+@example(source=(tuple(WORDS[:WIDTH]), tuple(WORDS[2:4])))
+def test_pad_context_matches_padded_encode_byte_for_byte(family, fusion, source):
+    config = ModelConfig(embedding_dim=8, hidden_size=10, num_layers=2, dropout=0.0, seed=4)
+    kwargs = {} if family == "seq2seq" else {"use_answer_features": True}
+    model = build_model(family, config, len(ENCODER), len(DECODER), **kwargs)
+    model.eval()
+    batch = encoded_batch(*source)
+    assert batch.answer_mask.any()
+    previous = set_fusion_enabled(fusion)
+    try:
+        with no_grad():
+            natural = model.encode(batch)
+            padded = pad_context(natural, WIDTH)
+            reference = model.encode(pad_batch(batch, WIDTH))
+    finally:
+        set_fusion_enabled(previous)
+
+    if batch.src.shape[1] == WIDTH:
+        assert padded is natural
+    assert same_bytes(padded.encoder_states.data, reference.encoder_states.data)
+    assert same_bytes(padded.src_pad_mask, reference.src_pad_mask)
+    assert same_bytes(padded.src_ext, reference.src_ext)
+    assert padded.max_oov == reference.max_oov
+    assert len(padded.initial_states) == len(reference.initial_states) == 2
+    for (h1, c1), (h2, c2) in zip(padded.initial_states, reference.initial_states):
+        assert same_bytes(h1.data, h2.data)
+        assert same_bytes(c1.data, c2.data)
+
+
+def test_pad_context_refuses_to_shrink():
+    batch = encoded_batch(tuple(WORDS[:4]), tuple(WORDS[:1]))
+    with no_grad():
+        context = build_family("acnn").encode(batch)
+    with pytest.raises(ValueError):
+        pad_context(context, 3)

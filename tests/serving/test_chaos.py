@@ -11,6 +11,7 @@ from collections import Counter
 
 from repro.observability import Telemetry
 from repro.serving import (
+    AdmissionPolicy,
     ContinuousBatchingEngine,
     EncoderStateCache,
     EngineConfig,
@@ -47,6 +48,7 @@ def run_continuous_fleet(model, seed: int, with_cache: bool = False):
         model,
         ENCODER,
         DECODER,
+        policy=AdmissionPolicy(max_source_tokens=12),
         config=ServiceConfig(default_deadline_seconds=2.0),
         clock=clock,
         telemetry=Telemetry([]),
@@ -61,7 +63,7 @@ def run_continuous_fleet(model, seed: int, with_cache: bool = False):
         encoder_cache=cache,
     )
     engine = ContinuousBatchingEngine(
-        service, EngineConfig(max_rows=8, queue_limit=16, admit_per_step=4, pad_to=12)
+        service, EngineConfig(max_rows=8, queue_limit=16, admit_per_step=4)
     )
     outcomes = []
     for index, text in enumerate(request_texts(NUM_REQUESTS, seed=555)):

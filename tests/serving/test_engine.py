@@ -15,6 +15,7 @@ from repro.data.vocabulary import PAD_ID
 from repro.decoding.batched_beam import batched_beam_decode
 from repro.observability import Telemetry
 from repro.serving import (
+    AdmissionPolicy,
     BreakerConfig,
     CircuitBreaker,
     ContinuousBatchingEngine,
@@ -26,15 +27,21 @@ from repro.serving import (
 )
 from repro.tensor.lazy import set_fusion_enabled
 
-from conftest import build_service, build_tiny_model, request_texts
+import conftest
+from conftest import build_tiny_model, request_texts
 
 PAD_TO = 12
+
+
+def build_service(**kwargs):
+    """The shared test service, decoding at width ``PAD_TO``."""
+    kwargs.setdefault("policy", AdmissionPolicy(max_source_tokens=PAD_TO))
+    return conftest.build_service(**kwargs)
 
 
 def build_engine(service=None, **config):
     if service is None:
         service = build_service()
-    config.setdefault("pad_to", PAD_TO)
     return ContinuousBatchingEngine(service, EngineConfig(**config))
 
 
@@ -98,6 +105,24 @@ def test_mixed_frontier_matches_solo_decode_byte_for_byte(fusion_default):
         )
         got = outcomes[request.request_id].result
         assert got.log_prob == best.log_prob  # byte-identical, not approximate
+
+
+def test_frontier_and_solo_ladder_decode_at_one_width():
+    """The same request served by the frontier and by ``service.serve`` (the
+    solo ladder) on one service gives the same bytes. The pinned input's
+    ``log_prob`` moves in its last bit between width 12 and its natural
+    width 4, so a solo ladder that decoded at natural width would fail."""
+    text = request_texts(1, seed=9)[0]
+    service = build_service()
+    engine = build_engine(service)
+    frontier = run_requests(
+        engine, [GenerationRequest(text, request_id="frontier", beam_size=2, max_length=8)]
+    )[0]
+    solo = service.serve(GenerationRequest(text, request_id="solo", beam_size=2, max_length=8))
+    assert engine.stats.served_in_frontier == 1 and engine.stats.solo_fallbacks == 0
+    assert frontier.result.rung == solo.result.rung == "beam"
+    assert frontier.result.tokens == solo.result.tokens
+    assert frontier.result.log_prob == solo.result.log_prob  # byte-identical
 
 
 def test_repeat_runs_are_byte_identical():
@@ -301,17 +326,6 @@ def test_oversize_requests_fall_back_to_solo_and_still_serve():
     assert engine.stats.frontier_admissions == 0
 
 
-def test_long_sources_fall_back_to_solo():
-    engine = build_engine(pad_to=3)
-    request = GenerationRequest(
-        " ".join(request_texts(1, seed=3)[0].split()[:1] * 6),
-        request_id="long", beam_size=2, max_length=4,
-    )
-    outcomes = run_requests(engine, [request])
-    assert [o.status for o in outcomes] == ["served"]
-    assert engine.stats.oversize == 1
-
-
 def test_expired_deadline_retires_to_ladder_floor():
     clock = ManualClock()
     service = build_service(clock=clock)
@@ -434,7 +448,6 @@ def test_drain_terminates_under_sustained_faults():
         {"max_rows": 0},
         {"queue_limit": 0},
         {"admit_per_step": 0},
-        {"pad_to": 0},
     ],
 )
 def test_engine_config_validates(kwargs):

@@ -15,6 +15,7 @@ accounting, not wall time.
 
 from repro.observability import Telemetry
 from repro.serving import (
+    AdmissionPolicy,
     ContinuousBatchingEngine,
     EngineConfig,
     FaultPlan,
@@ -37,6 +38,7 @@ def build_timed_service(clock):
         build_tiny_model(),
         ENCODER,
         DECODER,
+        policy=AdmissionPolicy(max_source_tokens=12),
         config=ServiceConfig(default_deadline_seconds=60.0),
         clock=clock,
         telemetry=Telemetry([]),
@@ -64,7 +66,7 @@ def test_continuous_engine_bounds_late_arrival_latency():
     service = build_timed_service(clock)
     engine = ContinuousBatchingEngine(
         service,
-        EngineConfig(max_rows=10, admit_per_step=4, pad_to=12),
+        EngineConfig(max_rows=10, admit_per_step=4),
     )
     long_batch, short = make_requests()
 

@@ -67,6 +67,20 @@ def test_truncate_to_coerces_instead_of_rejecting():
     assert len(encoded.src_ids) == 4
 
 
+@pytest.mark.parametrize("truncate_to", [0, 8], ids=["empty", "past_the_cap"])
+def test_truncate_to_outside_one_to_the_cap_is_refused(truncate_to):
+    """Truncating to nothing would admit an empty source; truncating past
+    the cap would admit a source longer than the service's decode width."""
+    with pytest.raises(ValueError):
+        AdmissionPolicy(max_source_tokens=5, truncate_to=truncate_to)
+
+
+def test_truncate_to_the_cap_is_allowed():
+    validator = make_validator(max_source_tokens=5, truncate_to=5)
+    encoded = validator.admit(GenerationRequest(" ".join(["zorvex"] * 6)))
+    assert len(encoded.src_ids) == 5
+
+
 def test_rejects_unk_dense_source():
     validator = make_validator(max_unk_density=0.5)
     assert (

@@ -27,6 +27,7 @@ from repro.data.vocabulary import PAD_ID
 from repro.decoding.batched_beam import batched_beam_decode
 from repro.observability import Telemetry
 from repro.serving import (
+    AdmissionPolicy,
     ContinuousBatchingEngine,
     EngineConfig,
     GenerationRequest,
@@ -37,6 +38,7 @@ from repro.serving import (
 from conftest import build_service, build_tiny_model, request_texts
 
 PAD_TO = 12
+POLICY = AdmissionPolicy(max_source_tokens=PAD_TO)
 TEXTS = request_texts(10, seed=773)
 MODEL = build_tiny_model()
 _SOLO_CACHE: dict[tuple, float] = {}
@@ -106,14 +108,13 @@ def check_step_invariants(engine, outcomes):
 @given(schedule=schedule_strategy)
 def test_scheduler_invariants_under_random_schedules(schedule):
     clock = ManualClock()
-    service = build_service(model=MODEL, clock=clock)
+    service = build_service(model=MODEL, clock=clock, policy=POLICY)
     engine = ContinuousBatchingEngine(
         service,
         EngineConfig(
             max_rows=schedule["max_rows"],
             queue_limit=schedule["queue_limit"],
             admit_per_step=schedule["admit_per_step"],
-            pad_to=PAD_TO,
         ),
     )
 
@@ -183,8 +184,8 @@ def test_random_fleets_are_byte_deterministic(requests, max_rows):
 
     def run():
         engine = ContinuousBatchingEngine(
-            build_service(model=MODEL),
-            EngineConfig(max_rows=max_rows, pad_to=PAD_TO),
+            build_service(model=MODEL, policy=POLICY),
+            EngineConfig(max_rows=max_rows),
         )
         rows = []
         for index, spec in enumerate(requests):
