@@ -17,10 +17,12 @@ import numpy as np
 
 from repro.data.batching import collate
 from repro.data.dataset import EncodedExample
-from repro.data.vocabulary import BOS_ID, EOS_ID, PAD_ID, Vocabulary
+from repro.data.vocabulary import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Vocabulary
 from repro.decoding.hypothesis import extended_ids_to_tokens
 from repro.models.acnn import ACNN
+from repro.models.base import DecoderStepState
 from repro.tensor.core import Tensor, no_grad
+from repro.tensor.ops import softmax
 
 __all__ = ["StepTrace", "GenerationTrace", "trace_generation", "gate_statistics", "render_trace"]
 
@@ -74,29 +76,31 @@ def trace_generation(
         state = model.initial_decoder_state(context)
         prev = np.array([BOS_ID], dtype=np.int64)
         for _ in range(max_length):
-            token_ids = model.map_to_decoder_vocab(prev, model.decoder_vocab_size, 1)
+            token_ids = model.map_to_decoder_vocab(prev, model.decoder_vocab_size, UNK_ID)
             embedded = model.decoder_embedding(token_ids)
+            coverage = Tensor(state.coverage) if state.coverage is not None else None
             d_k, c_k, attn, logits, new_lstm = model._decode_step(
-                embedded, state.lstm_states, context.encoder_states, context.src_pad_mask
+                embedded,
+                state.lstm_states,
+                context.encoder_states,
+                context.src_pad_mask,
+                coverage=coverage,
             )
-            from repro.tensor.ops import softmax
-
-            p_att = softmax(logits, axis=-1).data[0]
+            p_att = softmax(logits, axis=-1).data
             p_cop = model.copy_distribution(
                 d_k, c_k, context.encoder_states, context.src_pad_mask
-            ).data[0]
-            z = float(model.switch(d_k, c_k, embedded).data[0])
+            ).data
+            z = model.switch(d_k, c_k, embedded).data
 
-            extended = np.zeros(model.decoder_vocab_size + context.max_oov)
-            extended[: model.decoder_vocab_size] = (1.0 - z) * p_att
-            np.add.at(extended, batch.src_ext[0], z * p_cop)
+            extended = model._extended_mixture(p_att, p_cop, z, context.src_ext, context.max_oov)[0]
             extended[PAD_ID] = 0.0
             extended[BOS_ID] = 0.0
             choice = int(extended.argmax())
 
-            from repro.models.base import DecoderStepState
-
-            state = DecoderStepState(new_lstm)
+            state = DecoderStepState(
+                new_lstm,
+                coverage=state.coverage + attn.data if state.coverage is not None else None,
+            )
             if choice == EOS_ID:
                 break
             token = extended_ids_to_tokens([choice], decoder_vocab, encoded.oov_tokens)[0]
@@ -105,9 +109,9 @@ def trace_generation(
                     token=token,
                     token_id=choice,
                     copied=choice >= model.decoder_vocab_size,
-                    switch=z,
+                    switch=float(z[0]),
                     attention=attn.data[0].copy(),
-                    copy_distribution=p_cop.copy(),
+                    copy_distribution=p_cop[0].copy(),
                 )
             )
             prev = np.array([choice], dtype=np.int64)

@@ -33,12 +33,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.batching import Batch
-from repro.data.vocabulary import UNK_ID
+from repro.data.vocabulary import PAD_ID, UNK_ID
 from repro.models.base import DecoderStepState, EncoderContext
 from repro.models.config import ModelConfig
 from repro.models.du_attention import DuAttentionModel
 from repro.nn import Linear, Parameter, sequence_nll
 from repro.nn import init as nn_init
+from repro.nn.attention import live_width, pad_masked_scores
 from repro.nn.loss import PROBABILITY_FLOOR
 from repro.nn.functional import fused_pointer_probs
 from repro.nn.numerics import np_bernoulli_entropy, np_smoothed_log, saturating_sigmoid
@@ -141,7 +142,12 @@ class ACNN(DuAttentionModel):
         encoder_states: Tensor,
         src_pad_mask: np.ndarray,
     ) -> Tensor:
-        """Eq. 3: ``P_cop`` over source positions, padding masked out."""
+        """Eq. 3: ``P_cop`` over source positions, padding masked out.
+
+        Like :class:`~repro.nn.attention.GlobalAttention`, the eager chain
+        scores only the live source prefix and normalizes at the full
+        width; the fused kernel runs at the full width. Same bytes.
+        """
         projected = self.copy_projection(concat([d_k, c_k], axis=1))  # (B, enc_out)
         if is_lazy_enabled():
             # Fusion on: the score→bias→mask→softmax chain runs as one
@@ -154,10 +160,15 @@ class ACNN(DuAttentionModel):
                 src_pad_mask,
                 mask_value=_MASK_VALUE,
             )
-        scores = (expand_dims(projected, 1) * encoder_states).sum(axis=2)  # (B, S)
+        width = encoder_states.shape[1]
+        live = live_width(src_pad_mask, width)
+        if live < width:
+            encoder_states = encoder_states[:, :live]
+            src_pad_mask = src_pad_mask[:, :live]
+        scores = (expand_dims(projected, 1) * encoder_states).sum(axis=2)  # (B, live)
         scores = scores + self.copy_score_bias
         scores = masked_fill(scores, src_pad_mask, _MASK_VALUE)
-        return softmax(scores, axis=1)
+        return softmax(pad_masked_scores(scores, width), axis=1)
 
     def _extended_mixture(
         self,
@@ -171,8 +182,11 @@ class ACNN(DuAttentionModel):
 
         Scatters the copy distribution (over source positions) onto extended
         token ids and mixes it with the generation distribution:
-        ``(B, decoder_vocab + max_oov)``.
+        ``(B, decoder_vocab + max_oov)``. Trailing columns that pad every
+        row are skipped: their copy mass is exactly zero.
         """
+        live = live_width(src_ext == PAD_ID, src_ext.shape[1])
+        src_ext, p_cop = src_ext[:, :live], p_cop[:, :live]
         batch_size = p_att.shape[0]
         z = z.reshape(-1, 1)
         extended = np.zeros((batch_size, self.decoder_vocab_size + max_oov))

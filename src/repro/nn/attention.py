@@ -9,6 +9,20 @@ The attention-based encoding of the input at decoding step ``k`` is
 where ``d_k`` is the decoder hidden state and ``h_t`` the (bidirectional)
 encoder state at source position ``t``. Padding positions are excluded from
 the softmax via a mask.
+
+Trailing source columns that pad *every* row (a short source padded out to
+the serving width) are skipped: scores and the context run over the live
+prefix only (:func:`live_width`), and only the softmax runs at the full
+width, over scores padded back with the mask value. The result is byte for
+byte the full-width computation:
+
+- each score reduces its own position's feature axis, so it does not
+  depend on how many positions follow it;
+- the context sums the position axis one slice at a time, so the skipped
+  ``+ 0.0`` terms (exactly zero weights) change nothing;
+- the softmax denominator sums a contiguous axis pairwise, grouping its
+  terms by the axis length, so it would round differently at a narrower
+  width. That is why the softmax keeps the full width.
 """
 
 from __future__ import annotations
@@ -19,11 +33,33 @@ from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.tensor.core import Tensor
 from repro.tensor.lazy import is_lazy_enabled
-from repro.tensor.ops import expand_dims, masked_fill, softmax, tanh
+from repro.tensor.ops import concat, expand_dims, masked_fill, softmax, tanh
 
-__all__ = ["GlobalAttention"]
+__all__ = ["GlobalAttention", "live_width", "pad_masked_scores"]
 
 _MASK_VALUE = -1e9
+
+
+def live_width(pad_mask: np.ndarray | None, width: int) -> int:
+    """One past the last source column that some row does not pad.
+
+    ``width`` when there is no mask, when the last column holds a real
+    token (always the case for a :func:`~repro.data.batching.collate`
+    batch), or when every column is padding.
+    """
+    if pad_mask is None:
+        return width
+    real_columns = np.flatnonzero(~pad_mask.all(axis=0))
+    return int(real_columns[-1]) + 1 if real_columns.size else width
+
+
+def pad_masked_scores(scores: Tensor, width: int) -> Tensor:
+    """Pad ``(B, live)`` masked scores out to ``(B, width)`` with the mask
+    value, so the softmax normalizes at the full width."""
+    rows, live = scores.shape
+    if live == width:
+        return scores
+    return concat([scores, Tensor(np.full((rows, width - live), _MASK_VALUE))], axis=1)
 
 
 class GlobalAttention(Module):
@@ -93,6 +129,10 @@ class GlobalAttention(Module):
             ``context`` is ``(B, encoder_size)`` (``c_k`` in the paper);
             ``weights`` is ``(B, T)`` (``a_{k,t}``), summing to one over the
             non-padded positions.
+
+        The fused kernel runs at the full width ``T``; the eager chain
+        skips trailing all-pad columns (see the module docstring). Both
+        return the same bytes.
         """
         if coverage is None and is_lazy_enabled():
             # Fusion on: the whole score→mask→softmax→context chain runs as
@@ -108,6 +148,13 @@ class GlobalAttention(Module):
                 pad_mask=pad_mask,
                 mask_value=_MASK_VALUE,
             )
+        width = encoder_states.shape[1]
+        live = live_width(pad_mask, width)
+        if live < width:
+            encoder_states = encoder_states[:, :live]
+            pad_mask = pad_mask[:, :live]
+            if coverage is not None:
+                coverage = coverage[:, :live]
         scores = self.scores(decoder_state, encoder_states)
         if coverage is not None:
             if self.coverage_weight is None:
@@ -115,6 +162,7 @@ class GlobalAttention(Module):
             scores = scores + coverage * self.coverage_weight
         if pad_mask is not None:
             scores = masked_fill(scores, pad_mask, _MASK_VALUE)
-        weights = softmax(scores, axis=1)
-        context = (expand_dims(weights, 2) * encoder_states).sum(axis=1)
+        weights = softmax(pad_masked_scores(scores, width), axis=1)
+        live_weights = weights if live == width else weights[:, :live]
+        context = (expand_dims(live_weights, 2) * encoder_states).sum(axis=1)
         return context, weights

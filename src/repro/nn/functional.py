@@ -26,7 +26,10 @@ into one node with a hand-written backward, and :func:`fused_pointer_probs`
 does the same for the ACNN Eq. 3 copy-score chain.
 
 Every kernel performs the same numpy operations in the same order as its
-elementary-op formulation, so forward outputs are byte-identical; the
+elementary-op formulation, so forward outputs are byte-identical. The
+attention and pointer kernels always run at the full source width; the
+eager chains skip trailing columns that pad every row and still return
+the same bytes (see :mod:`repro.nn.attention`). The
 transcendentals route through :mod:`repro.nn.numerics` so the
 byte-identity and NaN-propagation contracts hold (and
 ``scripts/lint_numerics.py`` treats this file as waiver-proof for raw
@@ -172,9 +175,9 @@ def fused_attention(
 ) -> tuple[Tensor, Tensor]:
     """The whole global-attention chain as ONE tape node.
 
-    Computes, exactly as :class:`repro.nn.attention.GlobalAttention` does
-    with elementary ops (same numpy calls, same order — byte-identical
-    outputs)::
+    Computes, at the full width ``T``, what
+    :class:`repro.nn.attention.GlobalAttention` computes with elementary
+    ops over the live source prefix (byte-identical outputs)::
 
         projected = decoder_state @ weight              # (B, E)
         scores    = tanh((projected[:,None,:] * enc).sum(2))   # (B, T)
@@ -246,7 +249,8 @@ def fused_pointer_probs(
 
     ``projected`` is the copy projection ``V [d_k ; c_k] + b_1`` (kept as
     an eager Linear so its parameters stay ordinary tape parents);
-    this kernel fuses the rest, byte-identical to the elementary chain::
+    this kernel fuses the rest at the full width, byte-identical to the
+    elementary chain over the live source prefix::
 
         scores = (projected[:,None,:] * enc).sum(2) + score_bias  # (B, S)
         scores[pad] = mask_value

@@ -23,11 +23,17 @@ batched beam engine because three invariants hold:
 1. every request *decodes* at the same **fixed source width**, the
    service's ``AdmissionPolicy.max_source_tokens`` — the encoder runs
    over the source's real tokens only and the service pads its output
-   (:func:`~repro.serving.cache.pad_context`); attention over the padded
-   positions contributes exactly zero, and a fixed width means the
-   reduction shapes (and hence the floating-point rounding) never depend
-   on who else is in flight, nor on whether the frontier or the solo
-   ladder serves the request;
+   (:func:`~repro.serving.cache.pad_context`). The fixed width governs
+   the attention and copy softmax normalizers: their denominators are
+   pairwise sums over a contiguous axis, which group (and so round)
+   their terms by the axis length, so that length must not depend on who
+   else is in flight, nor on whether the frontier or the solo ladder
+   serves the request. The scores and the attention context run over
+   the frontier's live source prefix only (up to the last column some
+   row does not pad, :func:`~repro.nn.attention.live_width`): each score
+   is per position, the context adds positions one slice at a time, and
+   a padded position's weight is exactly zero, so the skipped columns
+   change no bit;
 2. candidate selection runs per request over its **own** extended-vocab
    columns (``V + its oov count``), so a neighbour with more OOV slots
    cannot widen — and thereby perturb — the candidate walk; the walk

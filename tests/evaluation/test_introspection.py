@@ -100,3 +100,34 @@ def test_render_trace_mentions_tokens(trained_acnn):
     assert "source:" in text
     for token in trace.generated_tokens:
         assert token in text
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_trace_attention_is_the_coverage_step_log_probs_decodes_with(trained_acnn, seed):
+    """With coverage on, each traced attention row is exactly the increment
+    ``step_log_probs`` adds to its coverage state when fed the traced
+    tokens: the trace reports the attention the model decodes with."""
+    from repro.data import collate
+    from repro.data.vocabulary import BOS_ID, PAD_ID
+    from repro.tensor import no_grad
+
+    _, dataset, decoder = trained_acnn
+    config = ModelConfig(embedding_dim=16, hidden_size=24, num_layers=1, dropout=0.0, seed=seed)
+    model = build_model(
+        "acnn", config, len(dataset.encoder_vocab), len(decoder), use_coverage=True
+    ).eval()
+    model.attention.coverage_weight.data[:] = 5.0
+    encoded = dataset[seed % len(dataset)]
+    trace = trace_generation(model, encoded, decoder, max_length=6)
+    assert len(trace.steps) >= 2
+
+    with no_grad():
+        context = model.encode(collate([encoded], pad_id=PAD_ID))
+        state = model.initial_decoder_state(context)
+        coverage = state.coverage
+        prev = np.array([BOS_ID], dtype=np.int64)
+        for step in trace.steps:
+            _, state = model.step_log_probs(prev, state, context)
+            coverage = coverage + step.attention[None, :]
+            assert np.array_equal(state.coverage, coverage)  # bytes, not close
+            prev = np.array([step.token_id], dtype=np.int64)

@@ -1,12 +1,20 @@
 """ACNN-specific tests: copy distribution, switch gate, mixture, gradients."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import collate
-from repro.data.vocabulary import BOS_ID
-from repro.models import ACNN, build_model
+from repro.data.vocabulary import BOS_ID, PAD_ID, UNK_ID
+from repro.models import ACNN, ModelConfig, build_model
+from repro.models.base import DecoderStepState, EncoderContext
+from repro.nn.loss import PROBABILITY_FLOOR
+from repro.nn.numerics import np_smoothed_log
 from repro.tensor import Tensor, check_gradients, no_grad
+from repro.tensor.ops import concat, softmax, tanh
 
 
 def _acnn(tiny_config, tiny_vocabs, **kwargs):
@@ -318,3 +326,119 @@ def test_fixed_switch_extremes_stay_exact(tiny_config, tiny_vocabs):
     for value in (0.0, 1.0):
         model = _acnn(tiny_config, tiny_vocabs, switch_mode="fixed", fixed_switch=value)
         np.testing.assert_array_equal(model.switch(d, c, y).data, value)
+
+
+# ----------------------------------------------------------------------
+# Live-prefix skip: the decode step's attention and copy kernels score only
+# the source columns some row does not pad, and match the full-width
+# formula byte for byte
+# ----------------------------------------------------------------------
+_DECODER_VOCAB, _MAX_OOV = 30, 3
+
+
+@functools.lru_cache(maxsize=None)
+def _frontier_acnn(use_coverage: bool) -> ACNN:
+    config = ModelConfig(embedding_dim=6, hidden_size=5, num_layers=2, dropout=0.0, seed=11)
+    model = build_model("acnn", config, 40, _DECODER_VOCAB, use_coverage=use_coverage).eval()
+    if use_coverage:
+        model.attention.coverage_weight.data[:] = 5.0
+    return model
+
+
+@st.composite
+def frontier_contexts(draw):
+    """``(width, lengths, seed)`` for a frontier padded to a fixed width;
+    every row holds a real token, and half the draws fill the last column
+    (the skip is then a no-op)."""
+    rows = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 200))
+    longest = width if draw(st.booleans()) else draw(st.integers(1, width))
+    lengths = draw(st.lists(st.integers(1, longest), min_size=rows, max_size=rows))
+    lengths[draw(st.integers(0, rows - 1))] = longest
+    return width, np.array(lengths), draw(st.integers(0, 2**16))
+
+
+def _frontier(model, width, lengths, rng):
+    rows = len(lengths)
+    mask = np.arange(width)[None, :] >= lengths[:, None]
+    states = rng.standard_normal((rows, width, model.encoder_output_size))
+    states[mask] = 0.0  # the encoder emits zeros at pads
+    src_ext = rng.integers(1, _DECODER_VOCAB + _MAX_OOV, size=(rows, width))
+    src_ext[mask] = PAD_ID
+    hidden = model.config.hidden_size
+    context = EncoderContext(
+        encoder_states=Tensor(states),
+        src_pad_mask=mask,
+        src_ext=src_ext,
+        max_oov=_MAX_OOV,
+        initial_states=[
+            (Tensor(rng.standard_normal((rows, hidden))), Tensor(rng.standard_normal((rows, hidden))))
+            for _ in range(model.config.num_layers)
+        ],
+    )
+    coverage = None
+    if model.use_coverage:
+        coverage = np.where(mask, 0.0, rng.random((rows, width)) * 2.0)
+    return context, DecoderStepState(context.initial_states, coverage=coverage)
+
+
+def _full_width_softmax(scores):
+    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _full_width_copy(model, d_k, c_k, states, mask):
+    """Eq. 3 at the full width, in plain numpy."""
+    projected = model.copy_projection(concat([d_k, Tensor(c_k)], axis=1)).data
+    scores = (projected[:, None, :] * states).sum(axis=2) + model.copy_score_bias.data
+    return _full_width_softmax(np.where(mask, -1e9, scores))
+
+
+def _full_width_step(model, prev, state, context):
+    """``step_log_probs`` with attention, copy and the Eq. 2 scatter at the
+    full width in plain numpy; the decoder LSTM and the readout are the
+    model's own (the skip does not touch them)."""
+    states, mask = context.encoder_states.data, context.src_pad_mask
+    embedded = model.decoder_embedding(np.where(prev >= _DECODER_VOCAB, UNK_ID, prev))
+    d_k, lstm_states = model.decoder.step(embedded, state.lstm_states)
+    scores = np.tanh(((d_k.data @ model.attention.weight.data)[:, None, :] * states).sum(axis=2))
+    if state.coverage is not None:
+        scores = scores + state.coverage * model.attention.coverage_weight.data
+    attn = _full_width_softmax(np.where(mask, -1e9, scores))
+    c_k = (attn[:, :, None] * states).sum(axis=1)
+    logits = model.output_projection(tanh(model.readout(concat([d_k, Tensor(c_k)], axis=1))))
+    p_att = softmax(logits, axis=-1).data
+    p_cop = _full_width_copy(model, d_k, c_k, states, mask)
+    z = model.switch(d_k, Tensor(c_k), embedded).data[:, None]
+    extended = np.zeros((len(prev), _DECODER_VOCAB + _MAX_OOV))
+    extended[:, :_DECODER_VOCAB] = (1.0 - z) * p_att
+    rows = np.repeat(np.arange(len(prev))[:, None], states.shape[1], axis=1)
+    np.add.at(extended, (rows, context.src_ext), z * p_cop)
+    coverage = None if state.coverage is None else state.coverage + attn
+    return np_smoothed_log(extended, PROBABILITY_FLOOR), lstm_states, coverage, (d_k, c_k)
+
+
+@pytest.mark.parametrize("use_coverage", [False, True], ids=["acnn", "acnn_coverage"])
+@given(frontier_contexts())
+@settings(max_examples=30, deadline=None)
+def test_live_prefix_step_is_byte_identical_to_full_width(use_coverage, frontier):
+    width, lengths, seed = frontier
+    rng = np.random.default_rng(seed)
+    model = _frontier_acnn(use_coverage)
+    context, state = _frontier(model, width, lengths, rng)
+    prev = rng.integers(0, _DECODER_VOCAB + _MAX_OOV, size=len(lengths))
+    with no_grad():
+        log_probs, new_state = model.step_log_probs(prev, state, context)
+        expected, lstm_states, coverage, (d_k, c_k) = _full_width_step(model, prev, state, context)
+        p_cop = model.copy_distribution(
+            d_k, Tensor(c_k), context.encoder_states, context.src_pad_mask
+        ).data
+    assert np.array_equal(log_probs, expected)  # bytes, not close
+    for (h, c), (h_ref, c_ref) in zip(new_state.lstm_states, lstm_states):
+        assert np.array_equal(h.data, h_ref.data) and np.array_equal(c.data, c_ref.data)
+    if use_coverage:
+        assert np.array_equal(new_state.coverage, coverage)
+    assert p_cop.shape == (len(lengths), width)
+    assert np.array_equal(
+        p_cop, _full_width_copy(model, d_k, c_k, context.encoder_states.data, context.src_pad_mask)
+    )

@@ -2,6 +2,8 @@
 gradients and byte-identity fuzzing against the elementary-op formulation,
 with gradients on and under ``no_grad``."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,17 +20,22 @@ dims = st.integers(2, 5)
 seeds = st.integers(0, 10_000)
 
 
-def _attention_inputs(batch, time, dec, enc, seed, with_mask=True):
+def _attention_inputs(batch, time, dec, enc, seed, with_mask=True, trailing_pad=0):
+    """Random attention inputs; ``trailing_pad`` appends that many columns
+    that pad every row (zero states, as the encoder emits them), the shape
+    of a short-source decode frontier at a fixed width."""
     rng = np.random.default_rng(seed)
     d = Tensor(rng.standard_normal((batch, dec)), requires_grad=True)
-    states = Tensor(rng.standard_normal((batch, time, enc)), requires_grad=True)
+    states = rng.standard_normal((batch, time + trailing_pad, enc))
     weight = Tensor(rng.standard_normal((dec, enc)) * 0.5, requires_grad=True)
-    if with_mask and time > 1:
-        mask = rng.random((batch, time)) < 0.3
+    if (with_mask and time > 1) or trailing_pad:
+        mask = rng.random((batch, time + trailing_pad)) < 0.3
         mask[:, 0] = False  # never fully masked
+        mask[:, time:] = True
+        states[:, time:] = 0.0
     else:
         mask = None
-    return d, states, weight, mask
+    return d, Tensor(states, requires_grad=True), weight, mask
 
 
 def _eager_attention_chain(d, states, weight, mask):
@@ -57,20 +64,24 @@ def test_fused_attention_gradcheck(with_mask):
     check_gradients(loss, [d, states, weight])
 
 
-@given(dims, st.integers(1, 6), dims, dims, seeds)
+@given(dims, st.integers(1, 6), dims, dims, seeds, st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
-def test_fused_attention_byte_identical_to_eager(batch, time, dec, enc, seed):
-    d, states, weight, mask = _attention_inputs(batch, time, dec, enc, seed)
+def test_fused_attention_byte_identical_to_eager(batch, time, dec, enc, seed, trailing_pad):
+    d, states, weight, mask = _attention_inputs(
+        batch, time, dec, enc, seed, trailing_pad=trailing_pad
+    )
     f_context, f_weights = fused_attention(d, states, weight, pad_mask=mask)
     e_context, e_weights = _eager_attention_chain(d, states, weight, mask)
     assert np.array_equal(f_context.data, e_context.data)  # bytes, not close
     assert np.array_equal(f_weights.data, e_weights.data)
 
 
-@given(dims, st.integers(2, 6), dims, dims, seeds)
+@given(dims, st.integers(2, 6), dims, dims, seeds, st.integers(0, 4))
 @settings(max_examples=25, deadline=None)
-def test_fused_attention_no_grad_node_byte_identical(batch, time, dec, enc, seed):
-    d, states, weight, mask = _attention_inputs(batch, time, dec, enc, seed)
+def test_fused_attention_no_grad_node_byte_identical(batch, time, dec, enc, seed, trailing_pad):
+    d, states, weight, mask = _attention_inputs(
+        batch, time, dec, enc, seed, trailing_pad=trailing_pad
+    )
     e_context, e_weights = _eager_attention_chain(d, states, weight, mask)
     with no_grad():
         n_context, n_weights = fused_attention(d, states, weight, pad_mask=mask)
@@ -78,16 +89,18 @@ def test_fused_attention_no_grad_node_byte_identical(batch, time, dec, enc, seed
     assert np.array_equal(n_weights.data, e_weights.data)
 
 
-def test_attention_layer_routes_through_fused_kernel_identically():
-    rng = np.random.default_rng(3)
-    layer = GlobalAttention(4, 6, rng)
-    d = Tensor(rng.standard_normal((3, 4)))
-    states = Tensor(rng.standard_normal((3, 5, 6)))
-    mask = rng.random((3, 5)) < 0.3
-    mask[:, 0] = False
-    eager_c, eager_w = layer(d, states, pad_mask=mask)
-    with lazy():
-        fused_c, fused_w = layer(d, states, pad_mask=mask)
+@pytest.mark.parametrize("trailing_pad", [0, 4])
+@pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+def test_attention_layer_routes_through_fused_kernel_identically(trailing_pad, grad):
+    """The fused kernel runs at the full width; the eager layer skips
+    trailing all-pad columns. Same bytes either way."""
+    layer = GlobalAttention(4, 6, np.random.default_rng(3))
+    d, states, _, mask = _attention_inputs(3, 5, 4, 6, seed=3, trailing_pad=trailing_pad)
+    with (contextlib.nullcontext() if grad else no_grad()):
+        eager_c, eager_w = layer(d, states, pad_mask=mask)
+        with lazy():
+            fused_c, fused_w = layer(d, states, pad_mask=mask)
+    assert eager_c.requires_grad == fused_c.requires_grad == grad
     assert np.array_equal(eager_c.data, fused_c.data)
     assert np.array_equal(eager_w.data, fused_w.data)
 
@@ -103,14 +116,17 @@ def test_fused_attention_weights_normalized_and_masked():
 # ---------------------------------------------------------------------------
 # fused_pointer_probs
 # ---------------------------------------------------------------------------
-def _pointer_inputs(batch, time, enc, seed):
+def _pointer_inputs(batch, time, enc, seed, trailing_pad=0):
+    """Random pointer inputs; ``trailing_pad`` as in :func:`_attention_inputs`."""
     rng = np.random.default_rng(seed)
     projected = Tensor(rng.standard_normal((batch, enc)), requires_grad=True)
-    states = Tensor(rng.standard_normal((batch, time, enc)), requires_grad=True)
+    states = rng.standard_normal((batch, time + trailing_pad, enc))
+    states[:, time:] = 0.0
     bias = Tensor(rng.standard_normal(1), requires_grad=True)
-    mask = rng.random((batch, time)) < 0.3
+    mask = rng.random((batch, time + trailing_pad)) < 0.3
     mask[:, 0] = False
-    return projected, states, bias, mask
+    mask[:, time:] = True
+    return projected, Tensor(states, requires_grad=True), bias, mask
 
 
 def _eager_pointer_chain(projected, states, bias, mask):
@@ -130,16 +146,37 @@ def test_fused_pointer_probs_gradcheck():
     check_gradients(loss, [projected, states, bias])
 
 
-@given(dims, st.integers(2, 6), dims, seeds)
+@given(dims, st.integers(2, 6), dims, seeds, st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
-def test_fused_pointer_probs_byte_identical(batch, time, enc, seed):
-    projected, states, bias, mask = _pointer_inputs(batch, time, enc, seed)
+def test_fused_pointer_probs_byte_identical(batch, time, enc, seed, trailing_pad):
+    projected, states, bias, mask = _pointer_inputs(batch, time, enc, seed, trailing_pad)
     eager = _eager_pointer_chain(projected, states, bias, mask)
     fused = fused_pointer_probs(projected, states, bias, mask)
     assert np.array_equal(fused.data, eager.data)
     with no_grad():
         no_grad_probs = fused_pointer_probs(projected, states, bias, mask)
     assert np.array_equal(no_grad_probs.data, eager.data)
+
+
+@pytest.mark.parametrize("trailing_pad", [0, 4])
+@pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+def test_copy_distribution_routes_through_fused_kernel_identically(trailing_pad, grad):
+    """ACNN's Eq. 3 copy distribution: the fused pointer kernel at the full
+    width equals the eager chain over the live source prefix."""
+    from repro.models import ModelConfig, build_model
+
+    config = ModelConfig(embedding_dim=4, hidden_size=3, num_layers=1, dropout=0.0, seed=2)
+    model = build_model("acnn", config, 20, 20)
+    _, states, _, mask = _pointer_inputs(3, 5, 6, seed=4, trailing_pad=trailing_pad)
+    rng = np.random.default_rng(5)
+    d_k = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    c_k = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+    with (contextlib.nullcontext() if grad else no_grad()):
+        eager = model.copy_distribution(d_k, c_k, states, mask)
+        with lazy():
+            fused = model.copy_distribution(d_k, c_k, states, mask)
+    assert eager.requires_grad == fused.requires_grad == grad
+    assert np.array_equal(eager.data, fused.data)
 
 
 def test_fused_kernels_are_single_tape_nodes_under_grad():

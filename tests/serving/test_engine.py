@@ -13,6 +13,7 @@ import pytest
 from repro.data.batching import collate
 from repro.data.vocabulary import PAD_ID
 from repro.decoding.batched_beam import batched_beam_decode
+from repro.decoding.hypothesis import extended_ids_to_tokens
 from repro.observability import Telemetry
 from repro.serving import (
     AdmissionPolicy,
@@ -75,19 +76,39 @@ def fusion_default(request):
 # ----------------------------------------------------------------------
 # Byte-equivalence: cohabitation must not change a single bit
 # ----------------------------------------------------------------------
-def test_mixed_frontier_matches_solo_decode_byte_for_byte(fusion_default):
-    """Requests of different lengths and beam widths share the frontier;
-    each must decode exactly as it would alone at the same padded width,
-    with fusion on or off (the solo reference always runs eager)."""
-    texts = request_texts(8, seed=17)
-    requests = [
+def _mixed_fleet():
+    return [
         GenerationRequest(
             text, request_id=f"r{i}",
             beam_size=2 + (i % 2),          # beams 2 and 3 cohabit
             max_length=4 + 3 * (i % 3),     # lengths 4, 7, 10 cohabit
         )
-        for i, text in enumerate(texts)
+        for i, text in enumerate(request_texts(8, seed=17))
     ]
+
+
+def _long_source_retires_first_fleet():
+    """An 11-token source with a 2-token budget shares the frontier with a
+    3-token source: when it retires, the frontier's live source prefix
+    shrinks from 11 columns to 3 under the short request."""
+    return [
+        GenerationRequest(
+            " ".join(conftest.WORDS[:11]), request_id="long", beam_size=2, max_length=2
+        ),
+        GenerationRequest(
+            " ".join(conftest.WORDS[-3:]), request_id="short", beam_size=3, max_length=10
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "fleet", [_mixed_fleet, _long_source_retires_first_fleet], ids=["mixed", "live_width_shrinks"]
+)
+def test_mixed_frontier_matches_solo_decode_byte_for_byte(fusion_default, fleet):
+    """Requests of different lengths and beam widths share the frontier;
+    each must decode exactly as it would alone at the same padded width,
+    with fusion on or off (the solo reference always runs eager)."""
+    requests = fleet()
     model = build_tiny_model()
     engine = build_engine(build_service(model=model), max_rows=8)
     outcomes = {o.request_id: o for o in run_requests(engine, requests)}
@@ -104,6 +125,9 @@ def test_mixed_frontier_matches_solo_decode_byte_for_byte(fusion_default):
             reference.model, encoded, request.beam_size, request.max_length
         )
         got = outcomes[request.request_id].result
+        assert got.tokens == tuple(
+            extended_ids_to_tokens(best.token_ids, reference.decoder_vocab, encoded.oov_tokens)
+        )
         assert got.log_prob == best.log_prob  # byte-identical, not approximate
 
 
