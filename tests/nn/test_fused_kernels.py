@@ -89,9 +89,23 @@ def test_fused_attention_no_grad_node_byte_identical(batch, time, dec, enc, seed
     assert np.array_equal(n_weights.data, e_weights.data)
 
 
+def test_attention_layer_routes_through_fused_kernel_identically():
+    rng = np.random.default_rng(3)
+    layer = GlobalAttention(4, 6, rng)
+    d = Tensor(rng.standard_normal((3, 4)))
+    states = Tensor(rng.standard_normal((3, 5, 6)))
+    mask = rng.random((3, 5)) < 0.3
+    mask[:, 0] = False
+    eager_c, eager_w = layer(d, states, pad_mask=mask)
+    with lazy():
+        fused_c, fused_w = layer(d, states, pad_mask=mask)
+    assert np.array_equal(eager_c.data, fused_c.data)
+    assert np.array_equal(eager_w.data, fused_w.data)
+
+
 @pytest.mark.parametrize("trailing_pad", [0, 4])
 @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
-def test_attention_layer_routes_through_fused_kernel_identically(trailing_pad, grad):
+def test_attention_layer_live_prefix_routes_through_fused_kernel_identically(trailing_pad, grad):
     """The fused kernel runs at the full width; the eager layer skips
     trailing all-pad columns. Same bytes either way."""
     layer = GlobalAttention(4, 6, np.random.default_rng(3))

@@ -101,14 +101,9 @@ def _long_source_retires_first_fleet():
     ]
 
 
-@pytest.mark.parametrize(
-    "fleet", [_mixed_fleet, _long_source_retires_first_fleet], ids=["mixed", "live_width_shrinks"]
-)
-def test_mixed_frontier_matches_solo_decode_byte_for_byte(fusion_default, fleet):
-    """Requests of different lengths and beam widths share the frontier;
-    each must decode exactly as it would alone at the same padded width,
-    with fusion on or off (the solo reference always runs eager)."""
-    requests = fleet()
+def _assert_frontier_matches_solo_decode(requests):
+    """Serve ``requests`` in one frontier; each must decode exactly as it
+    would alone at the same padded width (the solo reference runs eager)."""
     model = build_tiny_model()
     engine = build_engine(build_service(model=model), max_rows=8)
     outcomes = {o.request_id: o for o in run_requests(engine, requests)}
@@ -129,6 +124,19 @@ def test_mixed_frontier_matches_solo_decode_byte_for_byte(fusion_default, fleet)
             extended_ids_to_tokens(best.token_ids, reference.decoder_vocab, encoded.oov_tokens)
         )
         assert got.log_prob == best.log_prob  # byte-identical, not approximate
+
+
+def test_mixed_frontier_matches_solo_decode_byte_for_byte(fusion_default):
+    """Requests of different lengths and beam widths share the frontier;
+    each must decode exactly as it would alone at the same padded width,
+    with fusion on or off (the solo reference always runs eager)."""
+    _assert_frontier_matches_solo_decode(_mixed_fleet())
+
+
+def test_live_width_shrinking_frontier_matches_solo_decode_byte_for_byte(fusion_default):
+    """The frontier's live source prefix shrinks mid-request when a long
+    source retires first; the short request still decodes as it would alone."""
+    _assert_frontier_matches_solo_decode(_long_source_retires_first_fleet())
 
 
 def test_frontier_and_solo_ladder_decode_at_one_width():
