@@ -1,20 +1,23 @@
 """Fused neural-network ops with hand-written backwards.
 
-The recurrent models spend their time in the LSTM cell; expressing the cell
+The recurrent models spend their time in the LSTM; expressing a cell step
 as ~16 elementary tape ops per timestep makes Python-level graph overhead
-the bottleneck. The fused ops here compute a whole cell step as ONE tape
-node whose output stacks ``[h_new ; c_new]`` along the feature axis; callers
-split it with two cheap basic slices. The math is identical to the
-elementary-op formulation (the test suite gradchecks it and compares the two
-directly).
+the bottleneck. The kernels here do the work on raw arrays and record ONE
+tape node with a hand-written backward; callers split its packed output
+with cheap basic slices. The math is identical to the elementary-op
+formulation (the test suite gradchecks it and compares the two directly).
 
-Two variants:
+Two LSTM kernels share one gate forward (:func:`_gates_forward`, a single
+sigmoid call over all ``4H`` pre-activations) and one gate backward
+(:func:`_gates_backward`):
 
-- :func:`lstm_cell_step` — self-contained step (used for single-step
-  decoding).
-- :func:`lstm_cell_step_preprojected` — takes ``x @ W_ih^T + b`` computed
-  outside, so a full sequence can batch its input projections into one big
-  matmul (used by :class:`repro.nn.lstm.LSTM` over whole sequences).
+- :func:`lstm_cell_step` — one step, output ``[h_new ; c_new]`` (used for
+  single-step decoding).
+- :func:`lstm_sequence` — one layer's whole recurrence over a sequence
+  whose input projections ``x @ W_ih^T + b`` were batched into one matmul
+  outside; output ``[outputs ; h_T ; c_T]`` along the time axis, with a
+  hand-written backpropagation through time (used by
+  :class:`repro.nn.lstm.LSTM`).
 
 Gate layout in the fused weights is ``[input, forget, cell, output]``,
 matching :class:`repro.nn.lstm.LSTMCell`.
@@ -41,67 +44,55 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.numerics import np_fast_sigmoid, np_stable_softmax
-from repro.tensor.core import Tensor
+from repro.tensor.core import Tensor, is_grad_enabled
 
 __all__ = [
     "lstm_cell_step",
-    "lstm_cell_step_preprojected",
+    "lstm_sequence",
     "fused_attention",
     "fused_pointer_probs",
 ]
 
-
-def _fast_sigmoid(x: np.ndarray) -> np.ndarray:
-    return np_fast_sigmoid(x)
+_GateCache = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _fused_core(
-    gates: np.ndarray,
-    h_prev: Tensor,
-    c_prev: Tensor,
-    weight_hh: Tensor,
-    parents: tuple[Tensor, ...],
-    input_backward,
-) -> tuple[Tensor, Tensor]:
-    """Shared forward/backward around precomputed gate pre-activations.
+def _gates_forward(gates: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, _GateCache]:
+    """Apply the gate nonlinearities to ``(B, 4H)`` pre-activations.
 
-    ``input_backward(d_gates)`` propagates the gate gradient to whatever
-    produced the input-side projection (either the raw x and W_ih, or the
-    pre-projected tensor).
+    Returns ``[h_new ; c_new]`` as one ``(B, 2H)`` array and what
+    :func:`_gates_backward` needs. One sigmoid call covers all four gate
+    blocks (the cell block's value is unused); the ops are elementwise, so
+    the bytes match separate calls on the ``i``/``f``/``o`` blocks.
     """
-    hidden = h_prev.data.shape[1]
-    i_gate = _fast_sigmoid(gates[:, :hidden])
-    f_gate = _fast_sigmoid(gates[:, hidden: 2 * hidden])
+    hidden = c_prev.shape[1]
+    sig = np_fast_sigmoid(gates)
     g_gate = np.tanh(gates[:, 2 * hidden: 3 * hidden])
-    o_gate = _fast_sigmoid(gates[:, 3 * hidden:])
-    c_new = f_gate * c_prev.data + i_gate * g_gate
+    h_c = np.empty((gates.shape[0], 2 * hidden), dtype=gates.dtype)
+    c_new = h_c[:, hidden:]
+    np.add(sig[:, hidden: 2 * hidden] * c_prev, sig[:, :hidden] * g_gate, out=c_new)
     tanh_c_new = np.tanh(c_new)
-    h_new = o_gate * tanh_c_new
+    np.multiply(sig[:, 3 * hidden:], tanh_c_new, out=h_c[:, :hidden])
+    return h_c, (sig, g_gate, tanh_c_new, c_prev)
 
-    out_data = np.concatenate([h_new, c_new], axis=1)
 
-    def backward(d_out: np.ndarray) -> None:
-        d_h = d_out[:, :hidden]
-        d_c = d_out[:, hidden:].copy()
-        d_o = d_h * tanh_c_new * o_gate * (1.0 - o_gate)
-        d_c += d_h * o_gate * (1.0 - tanh_c_new * tanh_c_new)
+def _gates_backward(
+    d_h: np.ndarray, d_c_new: np.ndarray, cache: _GateCache
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of one gate step: ``(d_gates, d_c_prev)``."""
+    sig, g_gate, tanh_c_new, c_prev = cache
+    hidden = c_prev.shape[1]
+    i_gate = sig[:, :hidden]
+    f_gate = sig[:, hidden: 2 * hidden]
+    o_gate = sig[:, 3 * hidden:]
+    d_o = d_h * tanh_c_new * o_gate * (1.0 - o_gate)
+    d_c = d_c_new + d_h * o_gate * (1.0 - tanh_c_new * tanh_c_new)
 
-        d_gates = np.empty_like(gates)
-        d_gates[:, :hidden] = d_c * g_gate * i_gate * (1.0 - i_gate)
-        d_gates[:, hidden: 2 * hidden] = d_c * c_prev.data * f_gate * (1.0 - f_gate)
-        d_gates[:, 2 * hidden: 3 * hidden] = d_c * i_gate * (1.0 - g_gate * g_gate)
-        d_gates[:, 3 * hidden:] = d_o
-
-        input_backward(d_gates)
-        if h_prev.requires_grad:
-            h_prev._accumulate_grad(d_gates @ weight_hh.data)
-        if c_prev.requires_grad:
-            c_prev._accumulate_grad(d_c * f_gate)
-        if weight_hh.requires_grad:
-            weight_hh._accumulate_grad(d_gates.T @ h_prev.data)
-
-    out = Tensor._from_op(out_data, parents, backward)
-    return out[:, :hidden], out[:, hidden:]
+    d_gates = np.empty_like(sig)
+    d_gates[:, :hidden] = d_c * g_gate * i_gate * (1.0 - i_gate)
+    d_gates[:, hidden: 2 * hidden] = d_c * c_prev * f_gate * (1.0 - f_gate)
+    d_gates[:, 2 * hidden: 3 * hidden] = d_c * i_gate * (1.0 - g_gate * g_gate)
+    d_gates[:, 3 * hidden:] = d_o
+    return d_gates, d_c * f_gate
 
 
 def lstm_cell_step(
@@ -129,38 +120,121 @@ def lstm_cell_step(
         ``(B, H)`` tensors (two views of one fused tape node).
     """
     gates = x.data @ weight_ih.data.T + h_prev.data @ weight_hh.data.T + bias.data
+    h_c, cache = _gates_forward(gates, c_prev.data)
+    hidden = h_prev.data.shape[1]
 
-    def input_backward(d_gates: np.ndarray) -> None:
+    def backward(d_out: np.ndarray) -> None:
+        d_gates, d_c_prev = _gates_backward(d_out[:, :hidden], d_out[:, hidden:], cache)
         if x.requires_grad:
             x._accumulate_grad(d_gates @ weight_ih.data)
         if weight_ih.requires_grad:
             weight_ih._accumulate_grad(d_gates.T @ x.data)
         if bias.requires_grad:
             bias._accumulate_grad(d_gates.sum(axis=0))
+        if h_prev.requires_grad:
+            h_prev._accumulate_grad(d_gates @ weight_hh.data)
+        if c_prev.requires_grad:
+            c_prev._accumulate_grad(d_c_prev)
+        if weight_hh.requires_grad:
+            weight_hh._accumulate_grad(d_gates.T @ h_prev.data)
 
     parents = (x, h_prev, c_prev, weight_ih, weight_hh, bias)
-    return _fused_core(gates, h_prev, c_prev, weight_hh, parents, input_backward)
+    out = Tensor._from_op(h_c, parents, backward)
+    return out[:, :hidden], out[:, hidden:]
 
 
-def lstm_cell_step_preprojected(
-    x_projected: Tensor,
-    h_prev: Tensor,
-    c_prev: Tensor,
+def lstm_sequence(
+    projected: Tensor,
+    h0: Tensor,
+    c0: Tensor,
     weight_hh: Tensor,
-) -> tuple[Tensor, Tensor]:
-    """LSTM step whose input projection ``x @ W_ih^T + b`` was precomputed.
+    pad_mask: np.ndarray | None = None,
+    reverse: bool = False,
+) -> Tensor:
+    """One LSTM layer's recurrence over a sequence as a single tape node.
 
-    Lets a sequence model compute all timesteps' input projections in one
-    batched matmul and feed per-step ``(B, 4H)`` slices here.
+    Parameters
+    ----------
+    projected:
+        ``(B, T, 4H)`` input projections ``x @ W_ih^T + b`` for every step.
+    h0, c0:
+        ``(B, H)`` initial hidden and cell state.
+    weight_hh:
+        ``(4H, H)`` recurrent weights.
+    pad_mask:
+        Optional boolean ``(B, T)``; True marks padding. On a padded step a
+        row carries its state through unchanged (and emits it as output).
+    reverse:
+        Run the steps from last to first; outputs stay in time order.
+
+    Returns
+    -------
+    packed:
+        ``(B, T + 2, H)``: the per-step hidden states, then the final
+        ``h`` and the final ``c``. Callers split it with three basic slices.
+
+    Each step is ``P[:, t] + h @ W_hh^T`` through :func:`_gates_forward`,
+    then a ``np.where`` carry on padded rows. The backward runs the
+    recurrence in reverse, accumulating ``dW_hh`` one step at a time in
+    the order the per-step tape did. Per-step state is kept only when the
+    node is recorded, so encodes under ``no_grad`` retain nothing.
     """
-    gates = x_projected.data + h_prev.data @ weight_hh.data.T
+    proj = projected.data
+    batch, time_steps = proj.shape[0], proj.shape[1]
+    w_hh = weight_hh.data
+    parents = (projected, h0, c0, weight_hh)
+    record = is_grad_enabled() and any(p.requires_grad for p in parents)
+    padded = pad_mask.any(axis=0) if pad_mask is not None else None
+    order = range(time_steps - 1, -1, -1) if reverse else range(time_steps)
 
-    def input_backward(d_gates: np.ndarray) -> None:
-        if x_projected.requires_grad:
-            x_projected._accumulate_grad(d_gates)
+    h, c = h0.data, c0.data
+    hidden = h.shape[1]
+    packed = np.empty((batch, time_steps + 2, hidden), dtype=proj.dtype)
+    saved: list[tuple[np.ndarray, _GateCache]] = []
+    for t in order:
+        h_c, cache = _gates_forward(proj[:, t] + h @ w_hh.T, c)
+        h_new, c_new = h_c[:, :hidden], h_c[:, hidden:]
+        if record:
+            saved.append((h, cache))
+        if padded is not None and padded[t]:
+            pad_t = pad_mask[:, t: t + 1]
+            h_new = np.where(pad_t, h, h_new)
+            c_new = np.where(pad_t, c, c_new)
+        packed[:, t] = h_new
+        h, c = h_new, c_new
+    packed[:, time_steps] = h
+    packed[:, time_steps + 1] = c
 
-    parents = (x_projected, h_prev, c_prev, weight_hh)
-    return _fused_core(gates, h_prev, c_prev, weight_hh, parents, input_backward)
+    def backward(d_packed: np.ndarray) -> None:
+        d_outputs = d_packed[:, :time_steps]
+        d_h, d_c = d_packed[:, time_steps], d_packed[:, time_steps + 1]
+        d_proj = np.empty_like(proj) if projected.requires_grad else None
+        for t, (h_prev, cache) in zip(reversed(order), reversed(saved)):
+            d_h = d_h + d_outputs[:, t]
+            carry = padded is not None and padded[t]
+            if carry:
+                # The tape's ``where`` backward: padded rows route the
+                # gradient to the carried state, live rows to the cell.
+                pad_t = pad_mask[:, t: t + 1]
+                d_h_carry, d_c_carry = d_h * pad_t, d_c * pad_t
+                d_h, d_c = d_h * ~pad_t, d_c * ~pad_t
+            d_gates, d_c = _gates_backward(d_h, d_c, cache)
+            if d_proj is not None:
+                d_proj[:, t] = d_gates
+            if weight_hh.requires_grad:
+                weight_hh._accumulate_grad(d_gates.T @ h_prev)
+            d_h = d_gates @ w_hh
+            if carry:
+                d_h = d_h + d_h_carry
+                d_c = d_c + d_c_carry
+        if d_proj is not None:
+            projected._accumulate_grad(d_proj)
+        if h0.requires_grad:
+            h0._accumulate_grad(d_h)
+        if c0.requires_grad:
+            c0._accumulate_grad(d_c)
+
+    return Tensor._from_op(packed, parents, backward)
 
 
 # ----------------------------------------------------------------------

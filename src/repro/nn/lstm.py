@@ -5,6 +5,12 @@ bidirectional LSTM whose per-step hidden states are concatenated,
 ``h_t = [h_t_fwd ; h_t_bwd]``; the decoder is a (stacked) unidirectional LSTM
 driven one step at a time.
 
+Over a whole sequence, each layer batches its input projections into one
+matmul and runs the recurrence inside one tape node,
+:func:`repro.nn.functional.lstm_sequence`, so the time loop builds no
+per-step graph; single decode steps use the fused cell
+:func:`repro.nn.functional.lstm_cell_step`.
+
 Padding is handled with a boolean pad mask: at padded positions the recurrent
 state is carried through unchanged, so variable-length batches give the same
 final states as running each sequence alone. Trailing steps that pad every
@@ -20,10 +26,10 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.dropout import Dropout
-from repro.nn.functional import lstm_cell_step, lstm_cell_step_preprojected
+from repro.nn.functional import lstm_cell_step, lstm_sequence
 from repro.nn.module import Module, Parameter
 from repro.tensor.core import Tensor
-from repro.tensor.ops import concat, masked_fill, sigmoid, stack, tanh, where
+from repro.tensor.ops import concat, masked_fill, sigmoid, tanh
 
 __all__ = ["LSTMCell", "LSTM", "BidirectionalLSTM"]
 
@@ -184,13 +190,13 @@ class LSTM(Module):
                 )
                 return concat([outputs, Tensor(tail)], axis=1), final_states
         states = list(initial_states) if initial_states is not None else self.initial_states(batch_size)
-        time_order = range(time_steps - 1, -1, -1) if reverse else range(time_steps)
 
         layer_input = inputs
         final_states: list[State] = []
         for layer, cell in enumerate(self.cells):
             # One batched matmul for every timestep's input projection; the
-            # recurrence then only multiplies by W_hh per step.
+            # recurrence then only multiplies by W_hh per step, inside one
+            # tape node for the whole layer.
             feature = layer_input.shape[2]
             projected = (
                 layer_input.reshape(batch_size * time_steps, feature) @ cell.weight_ih.T
@@ -198,21 +204,10 @@ class LSTM(Module):
             ).reshape(batch_size, time_steps, 4 * cell.hidden_size)
 
             h, c = states[layer]
-            outputs: list[Tensor | None] = [None] * time_steps
-            for t in time_order:
-                h_new, c_new = lstm_cell_step_preprojected(
-                    projected[:, t, :], h, c, cell.weight_hh
-                )
-                if pad_mask is not None and pad_mask[:, t].any():
-                    # Carry the state through padded positions unchanged.
-                    pad_t = pad_mask[:, t: t + 1]
-                    h_new = where(pad_t, h, h_new)
-                    c_new = where(pad_t, c, c_new)
-                h, c = h_new, c_new
-                outputs[t] = h_new
-            final_states.append((h, c))
+            packed = lstm_sequence(projected, h, c, cell.weight_hh, pad_mask, reverse)
+            final_states.append((packed[:, time_steps], packed[:, time_steps + 1]))
 
-            sequence = stack(outputs, axis=1)
+            sequence = packed[:, :time_steps]
             if pad_mask is not None:
                 # Padded positions emit zeros.
                 sequence = masked_fill(sequence, pad_mask[:, :, None], 0.0)

@@ -97,7 +97,9 @@ class OpRecord:
     """Provenance of one tape op, recorded while anomaly mode is active."""
 
     op: str
-    """Op name (``softmax``, ``__matmul__``, ``lstm_cell_step`` ...)."""
+    """Op name (``softmax``, ``__matmul__``, ``lstm_cell_step``,
+    ``lstm_sequence`` ...): the name of the function that defines the op's
+    backward closure, so fused kernels define theirs inline."""
     seq: int
     """Creation order within the anomaly context (0-based)."""
     site: str

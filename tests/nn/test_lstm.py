@@ -1,9 +1,14 @@
 """Tests for LSTMCell, stacked LSTM, and the bidirectional encoder."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import LSTM, BidirectionalLSTM, LSTMCell
+from repro.nn.functional import lstm_cell_step
 from repro.tensor import Tensor, check_gradients
+from repro.tensor.ops import concat, masked_fill, stack, where
 
 
 def _rng(seed=0):
@@ -220,3 +225,229 @@ def test_lstm_two_layer_stack_feeds_layer_outputs():
     layer1.cells[0].bias.data[...] = lstm.cells[1].bias.data
     top, _ = layer1(Tensor(mid.data))
     assert np.allclose(top.data, out.data)
+
+
+# ----------------------------------------------------------------------
+# The one-node recurrence against the per-step tape formulation
+# ----------------------------------------------------------------------
+def _reference_lstm(lstm, inputs, pad_mask=None, initial_states=None, reverse=False):
+    """``LSTM.forward`` built from per-step tape nodes.
+
+    Every step is a ``lstm_cell_step`` node on a slice of the batched input
+    projection (an identity ``W_ih`` and zero bias leave the slice's bytes
+    unchanged), padded rows carry their state through ``where``, and the
+    steps are joined with ``stack`` and ``masked_fill``.
+    """
+    batch_size, time_steps = inputs.shape[0], inputs.shape[1]
+    if pad_mask is not None:
+        live = np.flatnonzero(~pad_mask.all(axis=0))
+        steps = int(live[-1]) + 1 if live.size else time_steps
+        if steps < time_steps:
+            outputs, final_states = _reference_lstm(
+                lstm, inputs[:, :steps], pad_mask[:, :steps], initial_states, reverse
+            )
+            tail = np.zeros((batch_size, time_steps - steps, outputs.shape[2]))
+            return concat([outputs, Tensor(tail)], axis=1), final_states
+    states = list(initial_states) if initial_states is not None else lstm.initial_states(batch_size)
+    time_order = range(time_steps - 1, -1, -1) if reverse else range(time_steps)
+    layer_input = inputs
+    final_states = []
+    for layer, cell in enumerate(lstm.cells):
+        gates = 4 * cell.hidden_size
+        projected = (
+            layer_input.reshape(batch_size * time_steps, layer_input.shape[2]) @ cell.weight_ih.T
+            + cell.bias
+        ).reshape(batch_size, time_steps, gates)
+        identity, zero_bias = Tensor(np.eye(gates)), Tensor(np.zeros(gates))
+        h, c = states[layer]
+        outputs = [None] * time_steps
+        for t in time_order:
+            h_new, c_new = lstm_cell_step(
+                projected[:, t, :], h, c, identity, cell.weight_hh, zero_bias
+            )
+            if pad_mask is not None and pad_mask[:, t].any():
+                pad_t = pad_mask[:, t: t + 1]
+                h_new = where(pad_t, h, h_new)
+                c_new = where(pad_t, c, c_new)
+            h, c = h_new, c_new
+            outputs[t] = h_new
+        final_states.append((h, c))
+        sequence = stack(outputs, axis=1)
+        if pad_mask is not None:
+            sequence = masked_fill(sequence, pad_mask[:, :, None], 0.0)
+        if lstm.inter_layer_dropout is not None and layer < lstm.num_layers - 1:
+            sequence = lstm.inter_layer_dropout(sequence)
+        layer_input = sequence
+    return layer_input, final_states
+
+
+def _ragged_mask(rng, batch, time):
+    lengths = rng.integers(0, time + 1, size=batch)
+    return np.arange(time)[None, :] >= lengths[:, None]
+
+
+def _loss_through_everything(outputs, states, rng):
+    """A loss reading the outputs and every layer's final ``(h, c)``."""
+    loss = (outputs * Tensor(rng.standard_normal(outputs.shape))).sum()
+    for h, c in states:
+        loss = loss + (h * Tensor(rng.standard_normal(h.shape))).sum()
+        loss = loss + (c * Tensor(rng.standard_normal(c.shape))).sum()
+    return loss
+
+
+def _run_case(build, call, seed):
+    """Build two identical modules, run one per path, return bytes and grads."""
+    results = []
+    for path in ("kernel", "reference"):
+        module = build()
+        module.train()
+        outputs, states, leaves = call(module, path)
+        _loss_through_everything(outputs, states, np.random.default_rng(seed)).backward()
+        results.append((module, outputs, states, leaves))
+    return results
+
+
+def _assert_identical(kernel, reference):
+    module_k, out_k, states_k, leaves_k = kernel
+    module_r, out_r, states_r, leaves_r = reference
+    assert out_k.data.tobytes() == out_r.data.tobytes()
+    assert len(states_k) == len(states_r)
+    for (h_k, c_k), (h_r, c_r) in zip(states_k, states_r):
+        assert h_k.data.tobytes() == h_r.data.tobytes()
+        assert c_k.data.tobytes() == c_r.data.tobytes()
+    for (name, p_k), (_, p_r) in zip(module_k.named_parameters(), module_r.named_parameters()):
+        assert np.array_equal(p_k.grad, p_r.grad), name
+    for leaf_k, leaf_r in zip(leaves_k, leaves_r):
+        assert np.array_equal(leaf_k.grad, leaf_r.grad)
+
+
+case_shape = st.tuples(
+    st.integers(1, 6),  # batch
+    st.integers(1, 12),  # time
+    st.integers(1, 4),  # input features
+    st.integers(1, 5),  # hidden
+    st.integers(1, 2),  # layers
+)
+
+
+@given(
+    case_shape,
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0.0, 0.3]),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_lstm_matches_per_step_tape_byte_for_byte(shape, padded, reverse, given_states, p, seed):
+    batch, time, features, hidden, layers = shape
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((batch, time, features))
+    pad_mask = _ragged_mask(rng, batch, time) if padded else None
+    starts = rng.standard_normal((layers, 2, batch, hidden)) if given_states else None
+
+    def build():
+        return LSTM(features, hidden, layers, _rng(seed), dropout=p, dropout_seed=seed)
+
+    def call(module, path):
+        x = Tensor(data, requires_grad=True)
+        initial = None
+        leaves = [x]
+        if starts is not None:
+            initial = [(Tensor(h, requires_grad=True), Tensor(c, requires_grad=True)) for h, c in starts]
+            leaves += [t for pair in initial for t in pair]
+        run = module if path == "kernel" else lambda *a, **k: _reference_lstm(module, *a, **k)
+        outputs, states = run(x, pad_mask=pad_mask, initial_states=initial, reverse=reverse)
+        return outputs, states, leaves
+
+    kernel, reference = _run_case(build, call, seed)
+    _assert_identical(kernel, reference)
+
+
+@given(case_shape, st.booleans(), st.sampled_from([0.0, 0.3]), st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_bilstm_matches_per_step_tape_byte_for_byte(shape, padded, p, seed):
+    batch, time, features, hidden, layers = shape
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((batch, time, features))
+    pad_mask = _ragged_mask(rng, batch, time) if padded else None
+
+    def build():
+        return BidirectionalLSTM(features, hidden, layers, _rng(seed), dropout=p, dropout_seed=seed)
+
+    def call(module, path):
+        x = Tensor(data, requires_grad=True)
+        if path == "kernel":
+            outputs, fwd, bwd = module(x, pad_mask=pad_mask)
+        else:
+            fwd_out, fwd = _reference_lstm(module.forward_lstm, x, pad_mask)
+            bwd_out, bwd = _reference_lstm(module.backward_lstm, x, pad_mask, reverse=True)
+            outputs = concat([fwd_out, bwd_out], axis=2)
+        return outputs, fwd + bwd, [x]
+
+    kernel, reference = _run_case(build, call, seed)
+    _assert_identical(kernel, reference)
+
+
+# ----------------------------------------------------------------------
+# Gradchecks over ragged pads, stacking, reverse and final states
+# ----------------------------------------------------------------------
+_PADS = np.array(
+    [
+        [False, False, False, False],
+        [False, False, True, True],
+        [False, True, True, True],
+    ]
+)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_gradcheck_ragged_two_layers_through_final_states(reverse):
+    lstm = LSTM(2, 2, num_layers=2, rng=_rng(31))
+    x = Tensor(np.random.default_rng(32).standard_normal((3, 4, 2)), requires_grad=True)
+    weights = np.random.default_rng(33)
+    w_out = Tensor(weights.standard_normal((3, 4, 2)))
+    w_states = [Tensor(weights.standard_normal((3, 2))) for _ in range(4)]
+
+    def loss():
+        out, states = lstm(x, pad_mask=_PADS, reverse=reverse)
+        total = (out * w_out).sum()
+        for (h, c), (w_h, w_c) in zip(states, zip(w_states[::2], w_states[1::2])):
+            total = total + (h * w_h).sum() + (c * w_c).sum()
+        return total
+
+    check_gradients(loss, [x] + lstm.parameters(), rtol=1e-3, atol=1e-5)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_gradcheck_given_initial_states(reverse):
+    lstm = LSTM(2, 3, num_layers=2, rng=_rng(34))
+    rng = np.random.default_rng(35)
+    x = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
+    initial = [
+        (Tensor(rng.standard_normal((3, 3)), requires_grad=True),
+         Tensor(rng.standard_normal((3, 3)), requires_grad=True))
+        for _ in range(2)
+    ]
+    leaves = [t for pair in initial for t in pair]
+
+    def loss():
+        out, states = lstm(x, pad_mask=_PADS, initial_states=initial, reverse=reverse)
+        h_top, c_top = states[-1]
+        return (out * out).sum() + (h_top * c_top).sum() + states[0][1].sum()
+
+    check_gradients(loss, [x] + leaves + lstm.parameters(), rtol=1e-3, atol=1e-5)
+
+
+def test_bilstm_gradcheck_ragged_through_final_states():
+    encoder = BidirectionalLSTM(2, 2, num_layers=2, rng=_rng(36))
+    x = Tensor(np.random.default_rng(37).standard_normal((3, 4, 2)), requires_grad=True)
+
+    def loss():
+        out, fwd, bwd = encoder(x, pad_mask=_PADS)
+        total = (out * out).sum()
+        for h, c in fwd + bwd:
+            total = total + (h * c).sum()
+        return total
+
+    check_gradients(loss, [x] + encoder.parameters(), rtol=1e-3, atol=1e-5)

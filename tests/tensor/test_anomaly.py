@@ -176,3 +176,38 @@ def test_slice_backward_through_checked_scatter():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     (x[:, 1:] * 2.0).sum().backward()
     np.testing.assert_array_equal(x.grad, [[0.0, 2.0, 2.0], [0.0, 2.0, 2.0]])
+
+
+def test_lstm_cell_step_reports_its_own_name():
+    """The fused decode cell is named after its public kernel, not a
+    private helper, when it mints an inf (an inf cell state carries
+    through the forget gate)."""
+    from repro.nn import LSTMCell
+
+    cell = LSTMCell(2, 3, np.random.default_rng(0))
+    x = Tensor(np.ones((1, 2)), requires_grad=True)
+    h = Tensor(np.zeros((1, 3)))
+    c = Tensor(np.array([[np.inf, 0.0, 0.0]]))
+    with detect_anomaly(emit_telemetry=False):
+        with pytest.raises(NumericalAnomaly) as excinfo:
+            cell(x, (h, c))
+    assert excinfo.value.op == "lstm_cell_step"
+    assert excinfo.value.kind == "inf"
+    assert "already non-finite" in str(excinfo.value)
+
+
+def test_lstm_sequence_reports_its_own_name():
+    """A whole encoder layer is one ``lstm_sequence`` node; an inf initial
+    cell state surfaces there, attributed to the LSTM's call site."""
+    from repro.nn import LSTM
+
+    lstm = LSTM(2, 3, num_layers=1, rng=np.random.default_rng(1))
+    x = Tensor(np.ones((1, 4, 2)), requires_grad=True)
+    h0 = Tensor(np.zeros((1, 3)))
+    c0 = Tensor(np.array([[np.inf, 0.0, 0.0]]))
+    with detect_anomaly(emit_telemetry=False):
+        with pytest.raises(NumericalAnomaly) as excinfo:
+            lstm(x, initial_states=[(h0, c0)])
+    assert excinfo.value.op == "lstm_sequence"
+    assert excinfo.value.kind == "inf"
+    assert "lstm.py" in excinfo.value.record.site
