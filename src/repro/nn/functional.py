@@ -148,7 +148,7 @@ def lstm_sequence(
     h0: Tensor,
     c0: Tensor,
     weight_hh: Tensor,
-    pad_mask: np.ndarray | None = None,
+    pad_mask: np.ndarray,
     reverse: bool = False,
 ) -> Tensor:
     """One LSTM layer's recurrence over a sequence as a single tape node.
@@ -162,8 +162,8 @@ def lstm_sequence(
     weight_hh:
         ``(4H, H)`` recurrent weights.
     pad_mask:
-        Optional boolean ``(B, T)``; True marks padding. On a padded step a
-        row carries its state through unchanged (and emits it as output).
+        Boolean ``(B, T)``; True marks padding. On a padded step a row
+        carries its state through unchanged (and emits it as output).
     reverse:
         Run the steps from last to first; outputs stay in time order.
 
@@ -184,7 +184,7 @@ def lstm_sequence(
     w_hh = weight_hh.data
     parents = (projected, h0, c0, weight_hh)
     record = is_grad_enabled() and any(p.requires_grad for p in parents)
-    padded = pad_mask.any(axis=0) if pad_mask is not None else None
+    padded = pad_mask.any(axis=0)
     order = range(time_steps - 1, -1, -1) if reverse else range(time_steps)
 
     h, c = h0.data, c0.data
@@ -196,7 +196,7 @@ def lstm_sequence(
         h_new, c_new = h_c[:, :hidden], h_c[:, hidden:]
         if record:
             saved.append((h, cache))
-        if padded is not None and padded[t]:
+        if padded[t]:
             pad_t = pad_mask[:, t: t + 1]
             h_new = np.where(pad_t, h, h_new)
             c_new = np.where(pad_t, c, c_new)
@@ -211,10 +211,10 @@ def lstm_sequence(
         d_proj = np.empty_like(proj) if projected.requires_grad else None
         for t, (h_prev, cache) in zip(reversed(order), reversed(saved)):
             d_h = d_h + d_outputs[:, t]
-            carry = padded is not None and padded[t]
+            carry = padded[t]
             if carry:
-                # The tape's ``where`` backward: padded rows route the
-                # gradient to the carried state, live rows to the cell.
+                # Padded rows route the gradient to the carried state, live
+                # rows to the cell, by mask products as ``where`` does.
                 pad_t = pad_mask[:, t: t + 1]
                 d_h_carry, d_c_carry = d_h * pad_t, d_c * pad_t
                 d_h, d_c = d_h * ~pad_t, d_c * ~pad_t

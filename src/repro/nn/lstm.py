@@ -156,9 +156,9 @@ class LSTM(Module):
         inputs:
             Embedded sequence, shape ``(B, T, input_size)``.
         pad_mask:
-            Optional boolean array ``(B, T)``; True marks padding. At padded
-            steps the state is carried through unchanged and the emitted
-            output is zero.
+            Optional boolean array ``(B, T)``; True marks padding (None: no
+            padding). At padded steps the state is carried through unchanged
+            and the emitted output is zero.
         initial_states:
             Optional per-layer ``(h, c)`` to start from.
         reverse:
@@ -173,22 +173,23 @@ class LSTM(Module):
             ``final_states`` the per-layer state after the last step.
         """
         batch_size, time_steps = inputs.shape[0], inputs.shape[1]
-        if pad_mask is not None:
-            # Trailing steps that pad every row carry the state and emit
-            # zeros, so skip them outright. That makes the result byte-for-
-            # byte independent of how far the batch was padded: BLAS rounds
-            # a row of the input projection differently depending on how
-            # many rows the matmul has.
-            live = np.flatnonzero(~pad_mask.all(axis=0))
-            steps = int(live[-1]) + 1 if live.size else time_steps
-            if steps < time_steps:
-                outputs, final_states = self.forward(
-                    inputs[:, :steps], pad_mask[:, :steps], initial_states, reverse
-                )
-                tail = np.zeros(
-                    (batch_size, time_steps - steps, outputs.shape[2]), dtype=outputs.data.dtype
-                )
-                return concat([outputs, Tensor(tail)], axis=1), final_states
+        if pad_mask is None:
+            pad_mask = np.zeros((batch_size, time_steps), dtype=bool)
+        # Trailing steps that pad every row carry the state and emit zeros,
+        # so skip them outright. That makes the result byte-for-byte
+        # independent of how far the batch was padded: BLAS rounds a row of
+        # the input projection differently depending on how many rows the
+        # matmul has.
+        live = np.flatnonzero(~pad_mask.all(axis=0))
+        steps = int(live[-1]) + 1 if live.size else time_steps
+        if steps < time_steps:
+            outputs, final_states = self.forward(
+                inputs[:, :steps], pad_mask[:, :steps], initial_states, reverse
+            )
+            tail = np.zeros(
+                (batch_size, time_steps - steps, outputs.shape[2]), dtype=outputs.data.dtype
+            )
+            return concat([outputs, Tensor(tail)], axis=1), final_states
         states = list(initial_states) if initial_states is not None else self.initial_states(batch_size)
 
         layer_input = inputs
@@ -207,10 +208,11 @@ class LSTM(Module):
             packed = lstm_sequence(projected, h, c, cell.weight_hh, pad_mask, reverse)
             final_states.append((packed[:, time_steps], packed[:, time_steps + 1]))
 
-            sequence = packed[:, :time_steps]
-            if pad_mask is not None:
-                # Padded positions emit zeros.
-                sequence = masked_fill(sequence, pad_mask[:, :, None], 0.0)
+            # Padded positions emit zeros. The fill also copies the strided
+            # slice into a contiguous array for the next layer's input
+            # projection: numpy hands BLAS a strided ``(B, 1)`` operand as a
+            # strided vector, whose rounding depends on the stride.
+            sequence = masked_fill(packed[:, :time_steps], pad_mask[:, :, None], 0.0)
             if self.inter_layer_dropout is not None and layer < self.num_layers - 1:
                 sequence = self.inter_layer_dropout(sequence)
             layer_input = sequence

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import LSTM, BidirectionalLSTM, LSTMCell
@@ -365,6 +365,7 @@ def test_lstm_matches_per_step_tape_byte_for_byte(shape, padded, reverse, given_
 
 
 @given(case_shape, st.booleans(), st.sampled_from([0.0, 0.3]), st.integers(0, 2**16))
+@example(shape=(2, 1, 1, 1, 2), padded=False, p=0.0, seed=2)  # (B, 1) layer input
 @settings(max_examples=25, deadline=None)
 def test_bilstm_matches_per_step_tape_byte_for_byte(shape, padded, p, seed):
     batch, time, features, hidden, layers = shape
