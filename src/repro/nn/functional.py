@@ -175,9 +175,10 @@ def lstm_sequence(
 
     Each step is ``P[:, t] + h @ W_hh^T`` through :func:`_gates_forward`,
     then a ``np.where`` carry on padded rows. The backward runs the
-    recurrence in reverse, accumulating ``dW_hh`` one step at a time in
-    the order the per-step tape did. Per-step state is kept only when the
-    node is recorded, so encodes under ``no_grad`` retain nothing.
+    recurrence in reverse, accumulating ``dW_hh`` one step at a time, last
+    step first, so gradients round exactly as a chain of per-step
+    :func:`lstm_cell_step` nodes would. Per-step state is kept only when
+    the node is recorded, so encodes under ``no_grad`` retain nothing.
     """
     proj = projected.data
     batch, time_steps = proj.shape[0], proj.shape[1]

@@ -296,7 +296,7 @@ def _loss_through_everything(outputs, states, rng):
 
 
 def _run_case(build, call, seed):
-    """Build two identical modules, run one per path, return bytes and grads."""
+    """Build two identical modules and backpropagate one loss through each path."""
     results = []
     for path in ("kernel", "reference"):
         module = build()
