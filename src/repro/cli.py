@@ -18,6 +18,7 @@ air-gapped machine.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import signal
 import sys
@@ -56,25 +57,10 @@ from repro.training import (
     TrainerConfig,
     TrainingInterrupted,
 )
-from repro.tensor.lazy import set_fusion_enabled
+from repro.tensor.lazy import lazy
 from repro.training.bundle import ModelBundle
 
 __all__ = ["main"]
-
-
-def _add_fusion_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fusion",
-        action="store_true",
-        help="enable kernel fusion (fused attention/copy kernels; "
-        "identical outputs, fewer Python-level ops per step)",
-    )
-
-
-def _apply_fusion(args) -> None:
-    """Raise the process-wide fusion default when ``--fusion`` was passed."""
-    if getattr(args, "fusion", False):
-        set_fusion_enabled(True)
 
 
 def _build_telemetry(telemetry_dir: str | None) -> Telemetry | None:
@@ -241,9 +227,13 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from repro.data import split_examples
+    # Forked elastic workers inherit the lazy() scope with the process.
+    with lazy() if args.fusion else contextlib.nullcontext():
+        return _train(args)
 
-    _apply_fusion(args)
+
+def _train(args) -> int:
+    from repro.data import split_examples
 
     examples = _load_examples(args)
     from_shards = bool(getattr(args, "shards", None))
@@ -405,7 +395,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    _apply_fusion(args)
     bundle = ModelBundle.load(args.bundle)
     examples = _load_examples(args)
     test_examples = examples[-args.num_examples:] if args.num_examples else examples
@@ -437,7 +426,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    _apply_fusion(args)
     bundle = ModelBundle.load(args.bundle)
     if args.input:
         with open(args.input, encoding="utf-8") as handle:
@@ -474,8 +462,6 @@ def _print_outcomes(outcomes) -> None:
 
 def _cmd_serve(args) -> int:
     import json
-
-    _apply_fusion(args)
 
     from repro.serving import (
         AdmissionPolicy,
@@ -781,7 +767,14 @@ def build_parser() -> argparse.ArgumentParser:
             "declares it dead and re-shards its micro-batches"
         ),
     )
-    _add_fusion_flag(train)
+    train.add_argument(
+        "--fusion",
+        action="store_true",
+        help=(
+            "run the attention and copy chains as fused single-node kernels "
+            "with hand-written backwards (same forward bytes, fewer tape nodes)"
+        ),
+    )
     train.set_defaults(handler=_cmd_train)
 
     evaluate = subparsers.add_parser("evaluate", help="score a saved bundle")
@@ -794,7 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry-dir",
         help="append decode/eval telemetry to <dir>/trace.jsonl",
     )
-    _add_fusion_flag(evaluate)
     evaluate.set_defaults(handler=_cmd_evaluate)
 
     generate = subparsers.add_parser("generate", help="generate questions for sentences")
@@ -802,7 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--input", help="file with one sentence per line (default: stdin)")
     generate.add_argument("--beam-size", type=int, default=3)
     generate.add_argument("--max-length", type=int, default=24)
-    _add_fusion_flag(generate)
     generate.set_defaults(handler=_cmd_generate)
 
     serve = subparsers.add_parser(
@@ -864,7 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry-dir",
         help="append serving telemetry to <dir>/trace.jsonl",
     )
-    _add_fusion_flag(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     return parser

@@ -146,13 +146,14 @@ class ACNN(DuAttentionModel):
 
         Like :class:`~repro.nn.attention.GlobalAttention`, the eager chain
         scores only the live source prefix and normalizes at the full
-        width; the fused kernel runs at the full width. Same bytes.
+        width.
         """
         projected = self.copy_projection(concat([d_k, c_k], axis=1))  # (B, enc_out)
         if is_lazy_enabled():
-            # Fusion on: the score→bias→mask→softmax chain runs as one
-            # fused kernel (byte-identical numpy sequence). The Linear stays
-            # eager so its parameters remain ordinary tape parents.
+            # Fusion on (gradients only): the score→bias→mask→softmax chain
+            # runs as one fused kernel at the full width (byte-identical
+            # numpy sequence). The Linear stays eager so its parameters
+            # remain ordinary tape parents.
             return fused_pointer_probs(
                 projected,
                 encoder_states,

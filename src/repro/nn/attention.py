@@ -129,16 +129,12 @@ class GlobalAttention(Module):
             ``context`` is ``(B, encoder_size)`` (``c_k`` in the paper);
             ``weights`` is ``(B, T)`` (``a_{k,t}``), summing to one over the
             non-padded positions.
-
-        The fused kernel runs at the full width ``T``; the eager chain
-        skips trailing all-pad columns (see the module docstring). Both
-        return the same bytes.
         """
         if coverage is None and is_lazy_enabled():
-            # Fusion on: the whole score→mask→softmax→context chain runs as
-            # one fused kernel (byte-identical numpy sequence). Coverage
-            # mixes a history tensor into the scores and keeps the
-            # elementary-op path below.
+            # Fusion on (gradients only): the whole score→mask→softmax→
+            # context chain runs as one fused kernel at the full width
+            # (byte-identical numpy sequence). Coverage mixes a history
+            # tensor into the scores and keeps the elementary-op path below.
             from repro.nn.functional import fused_attention
 
             return fused_attention(

@@ -22,17 +22,15 @@ sigmoid call over all ``4H`` pre-activations) and one gate backward
 Gate layout in the fused weights is ``[input, forget, cell, output]``,
 matching :class:`repro.nn.lstm.LSTMCell`.
 
-With fusion on (:mod:`repro.tensor.lazy`) the same idea extends one level
-up: :func:`fused_attention` collapses the attention score→mask→softmax→
-context chain (~10 tape ops in :class:`repro.nn.attention.GlobalAttention`)
-into one node with a hand-written backward, and :func:`fused_pointer_probs`
-does the same for the ACNN Eq. 3 copy-score chain.
+Inside :class:`repro.tensor.lazy.lazy` with gradients on, the same idea
+extends one level up: :func:`fused_attention` collapses the attention
+score→mask→softmax→context chain (~10 tape ops in
+:class:`repro.nn.attention.GlobalAttention`) into one node with a
+hand-written backward, and :func:`fused_pointer_probs` does the same for
+the ACNN Eq. 3 copy-score chain. Both run at the full source width.
 
 Every kernel performs the same numpy operations in the same order as its
 elementary-op formulation, so forward outputs are byte-identical. The
-attention and pointer kernels always run at the full source width; the
-eager chains skip trailing columns that pad every row and still return
-the same bytes (see :mod:`repro.nn.attention`). The
 transcendentals route through :mod:`repro.nn.numerics` so the
 byte-identity and NaN-propagation contracts hold (and
 ``scripts/lint_numerics.py`` treats this file as waiver-proof for raw

@@ -14,7 +14,7 @@ from repro.tensor.anomaly import (
     provenance_of,
 )
 from repro.tensor.core import DEFAULT_DTYPE, Tensor, ensure_tensor, is_grad_enabled, no_grad
-from repro.tensor.lazy import is_lazy_enabled, lazy, set_fusion_enabled
+from repro.tensor.lazy import is_lazy_enabled, lazy
 from repro.tensor.gradcheck import (
     GradientCheckError,
     check_finite_gradients,
@@ -61,7 +61,6 @@ __all__ = [
     "no_grad",
     "lazy",
     "is_lazy_enabled",
-    "set_fusion_enabled",
     "GradientCheckError",
     "check_finite_gradients",
     "check_gradients",

@@ -1,16 +1,17 @@
-"""Opt-in kernel fusion for the tape.
+"""Kernel fusion for the tape, where gradients flow.
 
 The numpy tape executes one Python-level op at a time, so the attention
 score→mask→softmax→context chain and the ACNN Eq. 3 copy-score chain each
-cost ~10 tape nodes per decoder step. With fusion on, those chains run as
-the single-node kernels in :mod:`repro.nn.functional` (one tape node with
-a hand-written backward) instead of their elementary-op formulation.
+cost ~10 tape nodes per decoder step. Inside a :class:`lazy` context with
+gradients on, those chains run as the single-node kernels in
+:mod:`repro.nn.functional` (one tape node with a hand-written backward)
+instead of their elementary-op formulation. ``acnn train --fusion`` runs
+the whole command inside one.
 
-Fusion is on when either holds:
-
-- a :class:`lazy` context (usable as a decorator) is active, or
-- the process-wide default is raised with :func:`set_fusion_enabled`
-  (the CLI's ``--fusion`` flag).
+Under ``no_grad`` the eager chains always run, inside ``lazy()`` or not:
+there is no backward to save, and the eager chains score only the live
+source prefix (see :mod:`repro.nn.attention`) where the kernels score the
+full width. So every decode and every encode is eager.
 
 :func:`is_lazy_enabled` is the one predicate the fusable call sites
 (``GlobalAttention.forward`` and ``ACNN.copy_distribution``) consult.
@@ -34,43 +35,28 @@ serving engine — runs tape code on one thread per process. The stacks are
 exception-safe (``append`` on enter, ``remove`` of the exact entry on
 exit) and reentrant (nested contexts, including reusing one
 ``no_grad``/``lazy`` instance, restore correctly because state is kept per
-*entry*, not per instance). Multi-process workers get a fresh set of
-stacks per process; sharing one process between concurrent tape users
-would require promoting these to thread-locals and is deliberately out of
-contract.
+*entry*, not per instance). Forked workers (elastic training) inherit the
+stacks as they stood at fork time; sharing one process between concurrent
+tape users would require promoting these to thread-locals and is
+deliberately out of contract.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Callable
+from repro.tensor.core import is_grad_enabled
 
-__all__ = [
-    "lazy",
-    "is_lazy_enabled",
-    "fusion_enabled",
-    "set_fusion_enabled",
-]
+__all__ = ["lazy", "is_lazy_enabled"]
 
 # Active lazy contexts, innermost last. Same single-threaded contract as
 # core._GRAD_ENABLED (see the reentrancy audit in the module docstring).
 _LAZY: list["lazy"] = []
 
-# Process-wide opt-in default. Off by default: with the flag down and no
-# lazy() context, behavior is bit-for-bit the eager tape.
-_FUSION_DEFAULT = False
-
 
 class lazy:
-    """Enable fused kernels inside the block.
-
-    Usable as a context manager or as a decorator::
+    """Enable fused kernels inside the block, wherever gradients are on::
 
         with lazy():
             loss = model.loss(batch)
-
-        @lazy()
-        def decode(batch): ...
 
     Each entry pushes onto the module stack and pops exactly that entry on
     exit, so nesting — including reusing one instance — and exceptions
@@ -84,28 +70,7 @@ class lazy:
     def __exit__(self, exc_type, exc, tb) -> None:
         _LAZY.remove(self)
 
-    def __call__(self, fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            with self:
-                return fn(*args, **kwargs)
-
-        return wrapper
-
 
 def is_lazy_enabled() -> bool:
-    """Whether fused kernels are on: inside :class:`lazy` or by default."""
-    return _FUSION_DEFAULT or bool(_LAZY)
-
-
-def fusion_enabled() -> bool:
-    """The process-wide fusion opt-in default (off unless raised)."""
-    return _FUSION_DEFAULT
-
-
-def set_fusion_enabled(enabled: bool) -> bool:
-    """Set the process-wide default; returns the previous value."""
-    global _FUSION_DEFAULT
-    previous = _FUSION_DEFAULT
-    _FUSION_DEFAULT = bool(enabled)
-    return previous
+    """Whether fused kernels are on: inside :class:`lazy` with gradients on."""
+    return bool(_LAZY) and is_grad_enabled()

@@ -2,8 +2,6 @@
 gradients and byte-identity fuzzing against the elementary-op formulation,
 with gradients on and under ``no_grad``."""
 
-import contextlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,24 +102,22 @@ def test_attention_layer_routes_through_fused_kernel_identically():
 
 
 @pytest.mark.parametrize("trailing_pad", [0, 4])
-@pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
-def test_attention_layer_live_prefix_routes_through_fused_kernel_identically(trailing_pad, grad):
+def test_attention_layer_live_prefix_routes_through_fused_kernel_identically(trailing_pad):
     """The fused kernel runs at the full width; the eager layer skips
     trailing all-pad columns. Same bytes either way."""
     layer = GlobalAttention(4, 6, np.random.default_rng(3))
     d, states, _, mask = _attention_inputs(3, 5, 4, 6, seed=3, trailing_pad=trailing_pad)
-    with (contextlib.nullcontext() if grad else no_grad()):
-        eager_c, eager_w = layer(d, states, pad_mask=mask)
-        with lazy():
-            fused_c, fused_w = layer(d, states, pad_mask=mask)
-    assert eager_c.requires_grad == fused_c.requires_grad == grad
+    eager_c, eager_w = layer(d, states, pad_mask=mask)
+    with lazy():
+        fused_c, fused_w = layer(d, states, pad_mask=mask)
+    assert eager_c.requires_grad and fused_c.requires_grad
     assert np.array_equal(eager_c.data, fused_c.data)
     assert np.array_equal(eager_w.data, fused_w.data)
 
 
 def test_fused_attention_weights_normalized_and_masked():
     d, states, weight, mask = _attention_inputs(3, 5, 4, 4, seed=9)
-    with lazy(), no_grad():
+    with no_grad():
         _, weights = fused_attention(d, states, weight, pad_mask=mask)
     np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, rtol=1e-12)
     assert (weights.data[mask] < 1e-12).all()
@@ -173,8 +169,7 @@ def test_fused_pointer_probs_byte_identical(batch, time, enc, seed, trailing_pad
 
 
 @pytest.mark.parametrize("trailing_pad", [0, 4])
-@pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
-def test_copy_distribution_routes_through_fused_kernel_identically(trailing_pad, grad):
+def test_copy_distribution_routes_through_fused_kernel_identically(trailing_pad):
     """ACNN's Eq. 3 copy distribution: the fused pointer kernel at the full
     width equals the eager chain over the live source prefix."""
     from repro.models import ModelConfig, build_model
@@ -185,11 +180,10 @@ def test_copy_distribution_routes_through_fused_kernel_identically(trailing_pad,
     rng = np.random.default_rng(5)
     d_k = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     c_k = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-    with (contextlib.nullcontext() if grad else no_grad()):
-        eager = model.copy_distribution(d_k, c_k, states, mask)
-        with lazy():
-            fused = model.copy_distribution(d_k, c_k, states, mask)
-    assert eager.requires_grad == fused.requires_grad == grad
+    eager = model.copy_distribution(d_k, c_k, states, mask)
+    with lazy():
+        fused = model.copy_distribution(d_k, c_k, states, mask)
+    assert eager.requires_grad and fused.requires_grad
     assert np.array_equal(eager.data, fused.data)
 
 

@@ -26,7 +26,6 @@ from repro.serving import (
     ManualClock,
     pad_batch,
 )
-from repro.tensor.lazy import set_fusion_enabled
 
 import conftest
 from conftest import build_tiny_model, request_texts
@@ -64,15 +63,6 @@ def solo_decode(model, encoded, beam_size, max_length, width=PAD_TO):
     )[0]
 
 
-@pytest.fixture(params=[False, True], ids=["fusion_off", "fusion_on"])
-def fusion_default(request):
-    """The process-wide fusion default ``acnn serve --fusion`` raises,
-    restored afterwards so no other test sees it."""
-    previous = set_fusion_enabled(request.param)
-    yield request.param
-    set_fusion_enabled(previous)
-
-
 # ----------------------------------------------------------------------
 # Byte-equivalence: cohabitation must not change a single bit
 # ----------------------------------------------------------------------
@@ -103,14 +93,13 @@ def _long_source_retires_first_fleet():
 
 def _assert_frontier_matches_solo_decode(requests):
     """Serve ``requests`` in one frontier; each must decode exactly as it
-    would alone at the same padded width (the solo reference runs eager)."""
+    would alone at the same padded width."""
     model = build_tiny_model()
     engine = build_engine(build_service(model=model), max_rows=8)
     outcomes = {o.request_id: o for o in run_requests(engine, requests)}
     assert all(o.status == "served" for o in outcomes.values())
     assert engine.stats.solo_fallbacks == 0
 
-    set_fusion_enabled(False)
     reference = build_service()  # same seed -> same weights
     for request in requests:
         encoded = reference.admit(
@@ -126,14 +115,13 @@ def _assert_frontier_matches_solo_decode(requests):
         assert got.log_prob == best.log_prob  # byte-identical, not approximate
 
 
-def test_mixed_frontier_matches_solo_decode_byte_for_byte(fusion_default):
+def test_mixed_frontier_matches_solo_decode_byte_for_byte():
     """Requests of different lengths and beam widths share the frontier;
-    each must decode exactly as it would alone at the same padded width,
-    with fusion on or off (the solo reference always runs eager)."""
+    each must decode exactly as it would alone at the same padded width."""
     _assert_frontier_matches_solo_decode(_mixed_fleet())
 
 
-def test_live_width_shrinking_frontier_matches_solo_decode_byte_for_byte(fusion_default):
+def test_live_width_shrinking_frontier_matches_solo_decode_byte_for_byte():
     """The frontier's live source prefix shrinks mid-request when a long
     source retires first; the short request still decodes as it would alone."""
     _assert_frontier_matches_solo_decode(_long_source_retires_first_fleet())

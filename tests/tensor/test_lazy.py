@@ -1,20 +1,35 @@
-"""Kernel fusion mode: the ``lazy()`` scope, the process-wide default, and
-the equivalence contract (fusion on must be byte-identical to eager for
-forwards and tolerance-pinned for backwards), plus the reentrancy-audited
-``no_grad``.
+"""Kernel fusion follows the gradient: inside ``lazy()`` the fused
+attention and pointer kernels run only where the tape records, so every
+decode (always under ``no_grad``) runs the eager chains. Under gradients
+fusion is byte-identical to eager for forwards and tolerance-pinned for
+backwards. Also the reentrancy-audited ``no_grad``.
 """
+
+import importlib
 
 import numpy as np
 import pytest
 
+import repro.nn.functional as functional
 from repro.data import QGDataset, QGExample, Vocabulary, collate
 from repro.decoding import batched_beam_decode
 from repro.decoding.greedy import greedy_decode
 from repro.models import ModelConfig, build_model
+from repro.observability import Telemetry
+from repro.serving import (
+    AdmissionPolicy,
+    ContinuousBatchingEngine,
+    EngineConfig,
+    GenerationRequest,
+    InferenceService,
+    ManualClock,
+)
 from repro.tensor import Tensor, no_grad
 from repro.tensor.core import is_grad_enabled
-from repro.tensor.lazy import fusion_enabled, is_lazy_enabled, lazy, set_fusion_enabled
+from repro.tensor.lazy import is_lazy_enabled, lazy
 from repro.tensor.profiler import TapeProfile
+
+acnn_module = importlib.import_module("repro.models.acnn")
 
 _WORDS = ["zorvex", "karlin", "tower", "river", "1887", "ostavia", "velkin"]
 _QWORDS = ["where", "what", "who", "is", "was", "the", "?"]
@@ -40,10 +55,43 @@ def _model(family, encoder, decoder, seed=3, layers=2):
     return build_model(family, config, len(encoder), len(decoder))
 
 
+@pytest.fixture()
+def fused_kernel_calls(monkeypatch):
+    """Count the calls that reach the fused attention and pointer kernels."""
+    calls = {"attention": 0, "pointer": 0}
+
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        functional, "fused_attention", counted("attention", functional.fused_attention)
+    )
+    monkeypatch.setattr(
+        acnn_module, "fused_pointer_probs", counted("pointer", acnn_module.fused_pointer_probs)
+    )
+    return calls
+
+
+@pytest.fixture()
+def fused_kernels_raise(monkeypatch):
+    """Make any call into the fused attention or pointer kernel fail."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fused kernel ran without gradients")
+
+    monkeypatch.setattr(functional, "fused_attention", refuse)
+    monkeypatch.setattr(acnn_module, "fused_pointer_probs", refuse)
+
+
 # ---------------------------------------------------------------------------
-# Mode plumbing: contexts and the process-wide default
+# Mode plumbing: the lazy() scope and the gradient
 # ---------------------------------------------------------------------------
 def test_lazy_context_and_decorator():
+    """lazy() nests; it is a context manager only (no decorator form)."""
     assert not is_lazy_enabled()
     with lazy():
         assert is_lazy_enabled()
@@ -51,13 +99,7 @@ def test_lazy_context_and_decorator():
             assert is_lazy_enabled()
         assert is_lazy_enabled()
     assert not is_lazy_enabled()
-
-    @lazy()
-    def staged():
-        return is_lazy_enabled()
-
-    assert staged()
-    assert not is_lazy_enabled()
+    assert not callable(lazy())
 
 
 def test_lazy_exception_safe():
@@ -68,22 +110,25 @@ def test_lazy_exception_safe():
 
 
 def test_fusion_default_off_and_resolution():
-    assert not fusion_enabled()  # zero behavior change out of the box
+    """Off by default; on only inside lazy() while gradients are on."""
     assert not is_lazy_enabled()
-    previous = set_fusion_enabled(True)
-    try:
-        assert previous is False
-        assert is_lazy_enabled()  # the default turns fusion on outside lazy()
-    finally:
-        set_fusion_enabled(False)
+    with no_grad():
+        assert not is_lazy_enabled()
+        with lazy():
+            assert not is_lazy_enabled()
+    with lazy():
+        assert is_lazy_enabled()
+        with no_grad():
+            assert not is_lazy_enabled()
+        assert is_lazy_enabled()
     assert not is_lazy_enabled()
 
 
 # ---------------------------------------------------------------------------
-# Equivalence contract: fusion on == fusion off, byte for byte
+# Decoding inside lazy() runs eager: no fused kernel, the same bytes
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("family", ["seq2seq", "du-attention", "acnn"])
-def test_beam_decode_fusion_byte_identical(family):
+def test_beam_decode_fusion_byte_identical(family, fused_kernels_raise):
     encoder, decoder, batch = _synthetic_batch(seed=11)
     model = _model(family, encoder, decoder)
     off = batched_beam_decode(model, batch, beam_size=3, max_length=10)
@@ -95,7 +140,7 @@ def test_beam_decode_fusion_byte_identical(family):
 
 
 @pytest.mark.parametrize("family", ["seq2seq", "du-attention", "acnn"])
-def test_greedy_decode_fusion_byte_identical(family):
+def test_greedy_decode_fusion_byte_identical(family, fused_kernels_raise):
     encoder, decoder, batch = _synthetic_batch(seed=5)
     model = _model(family, encoder, decoder, layers=3)  # stacked cells share shapes
     off = greedy_decode(model, batch, max_length=10)
@@ -105,7 +150,7 @@ def test_greedy_decode_fusion_byte_identical(family):
     assert [h.log_prob for h in off] == [h.log_prob for h in on]
 
 
-def test_coverage_model_keeps_eager_attention_but_matches():
+def test_coverage_model_keeps_eager_attention_but_matches(fused_kernels_raise):
     encoder, decoder, batch = _synthetic_batch(seed=23)
     config = ModelConfig(embedding_dim=8, hidden_size=10, num_layers=1, dropout=0.0, seed=7)
     model = build_model("acnn", config, len(encoder), len(decoder), use_coverage=True)
@@ -116,6 +161,53 @@ def test_coverage_model_keeps_eager_attention_but_matches():
     assert [h.log_prob for h in off] == [h.log_prob for h in on]
 
 
+def test_engine_drain_inside_lazy_runs_no_fused_kernel(fused_kernels_raise):
+    """The serving engine's encode and decode steps run under no_grad, so a
+    drain inside lazy() serves every request from the eager chains."""
+    examples = [
+        QGExample(sentence=tuple(s.split()), paragraph=tuple(s.split()), question=("?",))
+        for s in ["zorvex was born in karlin .", "the velkin tower is in ostavia ."]
+    ]
+    encoder, decoder = QGDataset.build_vocabs(examples, 100, 100)
+
+    def drain():
+        service = InferenceService(
+            _model("acnn", encoder, decoder, layers=1),
+            encoder,
+            decoder,
+            policy=AdmissionPolicy(max_source_tokens=12),
+            clock=ManualClock(),
+            telemetry=Telemetry([]),
+        )
+        engine = ContinuousBatchingEngine(service, EngineConfig(max_rows=8))
+        for i, text in enumerate(["zorvex was born in karlin", "the velkin tower", "karlin"]):
+            assert engine.submit(GenerationRequest(text, request_id=f"r{i}", beam_size=2)) is None
+        return sorted(engine.drain(), key=lambda o: o.request_id)
+
+    off = drain()
+    with lazy():
+        on = drain()
+    assert [o.status for o in on] == ["served"] * 3
+    assert [o.result.tokens for o in off] == [o.result.tokens for o in on]
+    assert [o.result.log_prob for o in off] == [o.result.log_prob for o in on]
+
+
+def test_loss_inside_lazy_reaches_both_fused_kernels(fused_kernel_calls):
+    """With gradients on, every decoder step of an ACNN loss runs one fused
+    attention and one fused pointer kernel; outside lazy() none does."""
+    encoder, decoder, batch = _synthetic_batch(seed=7)
+    model = _model("acnn", encoder, decoder)
+    model.loss(batch)
+    assert fused_kernel_calls == {"attention": 0, "pointer": 0}
+    with lazy():
+        model.loss(batch)
+    steps = batch.tgt_input.shape[1]
+    assert fused_kernel_calls == {"attention": steps, "pointer": steps}
+
+
+# ---------------------------------------------------------------------------
+# Equivalence contract under gradients: fusion on == fusion off
+# ---------------------------------------------------------------------------
 @pytest.mark.parametrize("family", ["seq2seq", "du-attention", "acnn"])
 def test_loss_and_gradients_match_under_fusion(family):
     encoder, decoder, batch = _synthetic_batch(seed=7)
