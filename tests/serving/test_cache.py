@@ -6,6 +6,8 @@ and a weight change must move the key space so stale states can never be
 served against new parameters.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +30,7 @@ from repro.serving import (
     pad_context,
 )
 from repro.tensor.core import no_grad
+from repro.tensor.lazy import lazy
 
 from conftest import DECODER, ENCODER, WORDS, build_service, request_texts
 
@@ -350,18 +353,21 @@ def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("fusion", [False, True], ids=["fusion_off", "fusion_on"])
 @pytest.mark.parametrize("family", ["acnn", "seq2seq", "du-attention"])
 @settings(max_examples=15, deadline=None)
 @given(source=sources())
 @example(source=(tuple(WORDS[:WIDTH]), tuple(WORDS[2:4])))
-def test_pad_context_matches_padded_encode_byte_for_byte(family, source):
+def test_pad_context_matches_padded_encode_byte_for_byte(family, fusion, source):
+    """``fusion_on`` encodes inside a ``lazy()`` scope: without gradients
+    it must change no byte of the context."""
     config = ModelConfig(embedding_dim=8, hidden_size=10, num_layers=2, dropout=0.0, seed=4)
     kwargs = {} if family == "seq2seq" else {"use_answer_features": True}
     model = build_model(family, config, len(ENCODER), len(DECODER), **kwargs)
     model.eval()
     batch = encoded_batch(*source)
     assert batch.answer_mask.any()
-    with no_grad():
+    with lazy() if fusion else contextlib.nullcontext(), no_grad():
         natural = model.encode(batch)
         padded = pad_context(natural, WIDTH)
         reference = model.encode(pad_batch(batch, WIDTH))
