@@ -49,7 +49,7 @@ BLESSED = {Path("src/repro/nn/numerics.py")}
 #: only transcendental code paths.
 STRICT_FUSED = {
     Path("src/repro/nn/functional.py"),
-    Path("src/repro/tensor/lazy.py"),
+    Path("src/repro/tensor/fusion.py"),
 }
 
 WAIVER = "# numerics: ok"

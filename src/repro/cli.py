@@ -57,7 +57,7 @@ from repro.training import (
     TrainerConfig,
     TrainingInterrupted,
 )
-from repro.tensor.lazy import lazy
+from repro.tensor.fusion import lazy
 from repro.training.bundle import ModelBundle
 
 __all__ = ["main"]

@@ -23,7 +23,14 @@ matmuls idle. This engine decodes all ``B`` examples of a batch at once:
 The candidate walk and the stopping rule live here as the *canonical*
 definitions (:func:`select_step_candidates`, :func:`should_stop_row`) and
 are shared with the per-example beam, which guarantees the two paths return
-identical hypotheses. Two decode-path fixes are part of these definitions:
+identical hypotheses. :func:`advance_beam_row` is the one per-example beam
+step built on them (walk, EOS picks into the finished pool, grown
+continuations with their state-select, next-token and log-prob arrays, stop
+rule); this engine runs it per example with its shared top-k, the serving
+frontier (:mod:`repro.serving.engine`) per slot, and n-best
+(:mod:`repro.decoding.nbest`) through this engine's pools, which
+:func:`ranked_pool` builds. Two decode-path fixes are part of these
+definitions:
 
 1. **Optimistic early stop.** Under length normalization
    (``score = log_prob / len**penalty``) a live hypothesis's score can
@@ -42,6 +49,7 @@ identical hypotheses. Two decode-path fixes are part of these definitions:
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +67,11 @@ from repro.tensor.core import no_grad
 
 __all__ = [
     "NON_VIABLE_FLOOR",
+    "RowAdvance",
+    "advance_beam_row",
     "batched_beam_decode",
     "batched_beam_search",
+    "ranked_pool",
     "select_step_candidates",
     "should_stop_row",
 ]
@@ -174,6 +185,85 @@ def should_stop_row(
     return best_finished >= best_bound
 
 
+class RowAdvance(NamedTuple):
+    """One example's beam after one step (see :func:`advance_beam_row`)."""
+
+    live: list[Hypothesis]
+    select: np.ndarray
+    """``(beam_size,)`` live slot each new slot grew from; identity at dead slots."""
+    tokens: np.ndarray
+    """``(beam_size,)`` next input token per slot; EOS at dead slots."""
+    log_probs: np.ndarray
+    """``(beam_size,)`` live log-probs; ``-inf`` at dead slots."""
+    stop: bool
+
+
+def advance_beam_row(
+    live: list[Hypothesis],
+    finished: list[Hypothesis],
+    totals: np.ndarray,
+    step_lp: np.ndarray,
+    beam_size: int,
+    length: int,
+    max_length: int,
+    length_penalty: float,
+    order: np.ndarray | None = None,
+) -> RowAdvance:
+    """Advance one example's beam by one decode step.
+
+    ``totals`` and ``step_lp`` are the ``(len(live), V_ext)`` candidate
+    scores and step log-probs of the example's live slots; ``order`` is an
+    optional ranking over its whole ``(beam_size, V_ext)`` block (the
+    batched engine's shared top-k), restricted here to the live slots: their
+    flat indices coincide with the live candidate matrix, and if dead
+    ``-inf`` slots crowded the window the walk ranks the live slice itself.
+    EOS picks join ``finished`` in place (the EOS token scores but never
+    surfaces). ``length`` is the decoded length after this step.
+
+    ``stop`` is set when :func:`should_stop_row` fires or no viable
+    continuation remains; in the latter case ``live`` comes back unchanged,
+    so :func:`ranked_pool` can still fall back to it.
+    """
+    if order is not None and len(live) < beam_size:
+        order = order[order < totals.size]
+    eos_picks, continuations = select_step_candidates(
+        totals, step_lp, beam_size, order=order
+    )
+    for source, token_lp in eos_picks:
+        grown = live[source].extended(EOS_ID, token_lp, finished=True)
+        finished.append(Hypothesis(grown.token_ids[:-1], grown.log_prob, finished=True))
+    select = np.arange(beam_size, dtype=np.int64)
+    tokens = np.full(beam_size, EOS_ID, dtype=np.int64)
+    log_probs = np.full(beam_size, -np.inf)
+    if not continuations:
+        return RowAdvance(live, select, tokens, log_probs, True)
+    new_live: list[Hypothesis] = []
+    for j, (source, token, token_lp) in enumerate(continuations):
+        grown = live[source].extended(token, token_lp, finished=False)
+        new_live.append(grown)
+        select[j] = source
+        tokens[j] = token
+        log_probs[j] = grown.log_prob
+    stop = should_stop_row(
+        finished,
+        [h.log_prob for h in new_live],
+        length,
+        beam_size,
+        max_length,
+        length_penalty,
+    )
+    return RowAdvance(new_live, select, tokens, log_probs, stop)
+
+
+def ranked_pool(
+    finished: list[Hypothesis], live: list[Hypothesis], length_penalty: float
+) -> list[Hypothesis]:
+    """The finished hypotheses, else the live ones marked unfinished,
+    sorted best-first by normalized score (ties keep their order)."""
+    pool = finished or [Hypothesis(h.token_ids, h.log_prob, finished=False) for h in live]
+    return sorted(pool, key=lambda h: -h.score(length_penalty))
+
+
 def batched_beam_search(
     model: QuestionGenerator,
     batch: Batch,
@@ -266,63 +356,31 @@ def batched_beam_search(
             select = np.arange(num_examples * beam_size, dtype=np.int64)
             next_prev = np.full(num_examples * beam_size, EOS_ID, dtype=np.int64)
             next_lp = np.full((num_examples, beam_size), -np.inf)
-            for r in range(num_examples):
-                if done[r]:
-                    continue
+            for r in np.flatnonzero(~done):
                 width = len(live[r])
-                # Restrict the shared ranking to the example's live slots:
-                # their flat indices coincide with the (width, V_ext)
-                # candidate matrix the per-example beam builds, so the walk
-                # sees identical candidates. If dead -inf slots crowded the
-                # window (possible only while width < beam_size), the walk
-                # recomputes its own ranking over the live slice.
-                order = ranked[r]
-                if width < beam_size:
-                    order = order[order < width * v_ext]
-                eos_picks, continuations = select_step_candidates(
+                advance = advance_beam_row(
+                    live[r],
+                    finished[r],
                     totals[r, :width],
                     step_rows[r, :width],
                     beam_size,
-                    order=order,
-                )
-                for source, token_lp in eos_picks:
-                    grown = live[r][source].extended(EOS_ID, token_lp, finished=True)
-                    # The EOS token scores but never surfaces.
-                    finished[r].append(
-                        Hypothesis(grown.token_ids[:-1], grown.log_prob, finished=True)
-                    )
-                if not continuations:
-                    done[r] = True
-                    continue
-                base = r * beam_size
-                new_live: list[Hypothesis] = []
-                for j, (source, token, token_lp) in enumerate(continuations):
-                    grown = live[r][source].extended(token, token_lp, finished=False)
-                    new_live.append(grown)
-                    select[base + j] = base + source
-                    next_prev[base + j] = token
-                    next_lp[r, j] = grown.log_prob
-                live[r] = new_live
-                tokens_generated += len(new_live)
-                if should_stop_row(
-                    finished[r],
-                    [h.log_prob for h in new_live],
                     step + 1,
-                    beam_size,
                     max_length,
                     length_penalty,
-                ):
-                    done[r] = True
+                    order=ranked[r],
+                )
+                base = r * beam_size
+                live[r] = advance.live
+                done[r] = advance.stop
+                select[base: base + beam_size] = base + advance.select
+                next_prev[base: base + beam_size] = advance.tokens
+                next_lp[r] = advance.log_probs
+            tokens_generated += int(np.isfinite(next_lp).sum())
             state = new_state.select(select)
             prev = next_prev
             live_lp = next_lp
 
-        pools: list[list[Hypothesis]] = []
-        for r in range(num_examples):
-            pool = finished[r] or [
-                Hypothesis(h.token_ids, h.log_prob, finished=False) for h in live[r]
-            ]
-            pools.append(sorted(pool, key=lambda h: -h.score(length_penalty)))
+        pools = [ranked_pool(pool, hyps, length_penalty) for pool, hyps in zip(finished, live)]
 
         elapsed = time.perf_counter() - decode_start
         span_info["steps"] = steps_run

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.data.batching import Batch
@@ -10,7 +12,7 @@ from repro.decoding.hypothesis import Hypothesis
 from repro.models.base import NonFiniteLogits, QuestionGenerator
 from repro.tensor.core import no_grad
 
-__all__ = ["greedy_decode"]
+__all__ = ["decode_tokens", "greedy_decode"]
 
 
 def greedy_decode(
@@ -28,6 +30,25 @@ def greedy_decode(
     (an object with ``check()``, consulted before the encode and once per
     step); a NaN decode step raises the typed
     :class:`~repro.models.base.NonFiniteLogits`.
+    """
+    return decode_tokens(
+        model, batch, lambda step_lp: step_lp.argmax(axis=1), max_length, deadline
+    )
+
+
+def decode_tokens(
+    model: QuestionGenerator,
+    batch: Batch,
+    pick: Callable[[np.ndarray], np.ndarray],
+    max_length: int = 30,
+    deadline=None,
+) -> list[Hypothesis]:
+    """The token loop greedy and sampled decoding share.
+
+    ``pick`` maps one step's ``(B, V_ext)`` log-probs (PAD and BOS masked to
+    ``-inf``) to the next token of every row; finished rows keep feeding
+    EOS. A NaN step raises :class:`~repro.models.base.NonFiniteLogits`
+    before ``pick`` sees it.
     """
     model.eval()
     with no_grad():
@@ -51,7 +72,7 @@ def greedy_decode(
                 raise NonFiniteLogits("step_log_probs", step=step, rows=int(nan_rows.sum()))
             step_lp[:, PAD_ID] = -np.inf
             step_lp[:, BOS_ID] = -np.inf
-            choices = step_lp.argmax(axis=1)
+            choices = pick(step_lp)
             chosen_lp = step_lp[np.arange(batch_size), choices]
             for row in range(batch_size):
                 if finished[row]:

@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.batching import Batch
-from repro.data.vocabulary import BOS_ID, EOS_ID, PAD_ID
+from repro.decoding.greedy import decode_tokens
 from repro.decoding.hypothesis import Hypothesis
 from repro.models.base import QuestionGenerator
-from repro.tensor.core import no_grad
 
 __all__ = ["sample_decode"]
 
@@ -36,55 +35,30 @@ def sample_decode(
         Softmax temperature; < 1 sharpens toward greedy, > 1 flattens.
     top_k:
         If set, sample only among the k most probable tokens per step.
+
+    Runs greedy decoding's token loop
+    (:func:`~repro.decoding.greedy.decode_tokens`) with a sampled pick, so a
+    NaN decode step raises the typed
+    :class:`~repro.models.base.NonFiniteLogits`.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
 
-    model.eval()
-    with no_grad():
-        context = model.encode(batch)
-        state = model.initial_decoder_state(context)
-        batch_size = context.batch_size
-        prev = np.full(batch_size, BOS_ID, dtype=np.int64)
-        sequences: list[list[int]] = [[] for _ in range(batch_size)]
-        log_probs = np.zeros(batch_size)
-        finished = np.zeros(batch_size, dtype=bool)
+    def pick(step_lp: np.ndarray) -> np.ndarray:
+        scaled = step_lp / temperature  # numerics: ok — temperature validated > 0 above
+        choices = np.empty(len(scaled), dtype=np.int64)
+        for row, row_scores in enumerate(scaled):
+            if top_k is not None:
+                keep = np.argpartition(-row_scores, min(top_k, row_scores.size - 1))[:top_k]
+                mask = np.full_like(row_scores, -np.inf)
+                mask[keep] = row_scores[keep]
+                row_scores = mask
+            shifted = row_scores - row_scores.max()
+            probs = np.exp(shifted)  # numerics: ok — shifted <= 0, exp cannot overflow
+            probs /= probs.sum()  # numerics: ok — max element contributes exp(0) = 1
+            choices[row] = rng.choice(len(probs), p=probs)
+        return choices
 
-        for _ in range(max_length):
-            step_lp, state = model.step_log_probs(prev, state, context)
-            step_lp[:, PAD_ID] = -np.inf
-            step_lp[:, BOS_ID] = -np.inf
-
-            scaled = step_lp / temperature  # numerics: ok — temperature validated > 0 above
-            choices = np.empty(batch_size, dtype=np.int64)
-            for row in range(batch_size):
-                row_scores = scaled[row]
-                if top_k is not None:
-                    keep = np.argpartition(-row_scores, min(top_k, row_scores.size - 1))[:top_k]
-                    mask = np.full_like(row_scores, -np.inf)
-                    mask[keep] = row_scores[keep]
-                    row_scores = mask
-                shifted = row_scores - row_scores.max()
-                probs = np.exp(shifted)  # numerics: ok — shifted <= 0, exp cannot overflow
-                probs /= probs.sum()  # numerics: ok — max element contributes exp(0) = 1
-                choices[row] = rng.choice(len(probs), p=probs)
-
-            chosen_lp = step_lp[np.arange(batch_size), choices]
-            for row in range(batch_size):
-                if finished[row]:
-                    continue
-                log_probs[row] += chosen_lp[row]
-                if choices[row] == EOS_ID:
-                    finished[row] = True
-                    continue
-                sequences[row].append(int(choices[row]))
-            if finished.all():
-                break
-            prev = np.where(finished, EOS_ID, choices)
-
-    return [
-        Hypothesis(tuple(sequences[row]), float(log_probs[row]), finished=bool(finished[row]))
-        for row in range(batch_size)
-    ]
+    return decode_tokens(model, batch, pick, max_length)

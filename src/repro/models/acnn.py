@@ -44,7 +44,7 @@ from repro.nn.loss import PROBABILITY_FLOOR
 from repro.nn.functional import fused_pointer_probs
 from repro.nn.numerics import np_bernoulli_entropy, np_smoothed_log, saturating_sigmoid
 from repro.tensor.core import Tensor
-from repro.tensor.lazy import is_lazy_enabled
+from repro.tensor.fusion import is_lazy_enabled
 from repro.tensor.ops import (
     concat,
     expand_dims,

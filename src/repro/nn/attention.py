@@ -32,7 +32,7 @@ import numpy as np
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.tensor.core import Tensor
-from repro.tensor.lazy import is_lazy_enabled
+from repro.tensor.fusion import is_lazy_enabled
 from repro.tensor.ops import concat, expand_dims, masked_fill, softmax, tanh
 
 __all__ = ["GlobalAttention", "live_width", "pad_masked_scores"]

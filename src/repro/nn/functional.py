@@ -22,7 +22,7 @@ sigmoid call over all ``4H`` pre-activations) and one gate backward
 Gate layout in the fused weights is ``[input, forget, cell, output]``,
 matching :class:`repro.nn.lstm.LSTMCell`.
 
-Inside :class:`repro.tensor.lazy.lazy` with gradients on, the same idea
+Inside :class:`repro.tensor.fusion.lazy` with gradients on, the same idea
 extends one level up: :func:`fused_attention` collapses the attention
 score→mask→softmax→context chain (~10 tape ops in
 :class:`repro.nn.attention.GlobalAttention`) into one node with a

@@ -36,12 +36,15 @@ batched beam engine because three invariants hold:
    change no bit;
 2. candidate selection runs per request over its **own** extended-vocab
    columns (``V + its oov count``), so a neighbour with more OOV slots
-   cannot widen — and thereby perturb — the candidate walk; the walk
-   itself is the canonical
-   :func:`~repro.decoding.batched_beam.select_step_candidates`;
-3. recurrent state rows are private to their request and reordered with
-   one :meth:`~repro.models.base.DecoderStepState.select` per step, the
-   same bookkeeping the batched beam engine uses.
+   cannot widen — and thereby perturb — the candidate walk;
+3. each slot advances with the one shared beam step,
+   :func:`~repro.decoding.batched_beam.advance_beam_row` — the candidate
+   walk, finished pool, state-select and next-token arrays and stop rule
+   the batched beam engine runs per example — and its recurrent state
+   rows are private to it, reordered with one
+   :meth:`~repro.models.base.DecoderStepState.select` per step. NaN
+   isolation, ``max_length`` retirement and frontier bookkeeping stay in
+   the engine.
 
 Fault isolation is per request where physics allows it: NaN rows poison
 only the slot that produced them (that request falls back to the solo
@@ -61,8 +64,8 @@ import numpy as np
 
 from repro.data.batching import collate
 from repro.data.dataset import EncodedExample
-from repro.data.vocabulary import BOS_ID, EOS_ID, PAD_ID
-from repro.decoding.batched_beam import select_step_candidates, should_stop_row
+from repro.data.vocabulary import BOS_ID, PAD_ID
+from repro.decoding.batched_beam import advance_beam_row, ranked_pool
 from repro.decoding.hypothesis import Hypothesis
 from repro.models.base import (
     DecoderStepState,
@@ -312,46 +315,23 @@ class ContinuousBatchingEngine:
                 continue
             block = step_lp[base: base + rows, :v_ext]
             width = len(slot.live)
-            totals = block[:width] + slot.live_lp[:width, None]
-            eos_picks, continuations = select_step_candidates(
-                totals, block[:width], rows
-            )
-            for source, token_lp in eos_picks:
-                grown = slot.live[source].extended(EOS_ID, token_lp, finished=True)
-                # The EOS token scores but never surfaces.
-                slot.finished.append(
-                    Hypothesis(grown.token_ids[:-1], grown.log_prob, finished=True)
-                )
             slot.steps += 1
-            if not continuations:
-                outcomes.append(self._finish(slot))
-                base += rows
-                continue
-            select = np.arange(rows, dtype=np.int64)
-            next_prev = np.full(rows, EOS_ID, dtype=np.int64)
-            next_lp = np.full(rows, -np.inf)
-            new_live: list[Hypothesis] = []
-            for j, (source, token, token_lp) in enumerate(continuations):
-                grown = slot.live[source].extended(token, token_lp, finished=False)
-                new_live.append(grown)
-                select[j] = source
-                next_prev[j] = token
-                next_lp[j] = grown.log_prob
-            slot.live = new_live
-            slot.prev = next_prev
-            slot.live_lp = next_lp
-            if slot.steps >= slot.request.max_length or should_stop_row(
+            advance = advance_beam_row(
+                slot.live,
                 slot.finished,
-                [h.log_prob for h in new_live],
-                slot.steps,
+                block[:width] + slot.live_lp[:width, None],
+                block[:width],
                 rows,
+                slot.steps,
                 slot.request.max_length,
                 self.service.config.length_penalty,
-            ):
+            )
+            slot.live, slot.prev, slot.live_lp = advance.live, advance.tokens, advance.log_probs
+            if advance.stop or slot.steps >= slot.request.max_length:
                 outcomes.append(self._finish(slot))
             else:
                 survivors.append(slot)
-                select_parts.append(base + select)
+                select_parts.append(base + advance.select)
             base += rows
 
         changed = len(survivors) != len(self._slots)
@@ -517,10 +497,7 @@ class ContinuousBatchingEngine:
     # ------------------------------------------------------------------
     def _finish(self, slot: _Slot) -> RequestOutcome:
         service = self.service
-        pool = slot.finished or [
-            Hypothesis(h.token_ids, h.log_prob, finished=False) for h in slot.live
-        ]
-        best = sorted(pool, key=lambda h: -h.score(service.config.length_penalty))[0]
+        best = ranked_pool(slot.finished, slot.live, service.config.length_penalty)[0]
         top_rung = build_ladder(
             slot.request.beam_size, slot.request.max_length,
             service.config.truncated_length,

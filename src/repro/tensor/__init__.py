@@ -14,7 +14,7 @@ from repro.tensor.anomaly import (
     provenance_of,
 )
 from repro.tensor.core import DEFAULT_DTYPE, Tensor, ensure_tensor, is_grad_enabled, no_grad
-from repro.tensor.lazy import is_lazy_enabled, lazy
+from repro.tensor.fusion import is_lazy_enabled, lazy
 from repro.tensor.gradcheck import (
     GradientCheckError,
     check_finite_gradients,

@@ -12,6 +12,7 @@ from repro.decoding import (
     sample_decode,
 )
 from repro.models import ModelConfig, build_model
+from repro.models.base import NonFiniteLogits
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +139,21 @@ def test_sample_decode_validation(du_setup):
         sample_decode(model, batch, np.random.default_rng(0), temperature=0.0)
     with pytest.raises(ValueError):
         sample_decode(model, batch, np.random.default_rng(0), top_k=0)
+
+
+def test_sample_decode_nan_step_raises_typed_error(du_setup, monkeypatch):
+    """A NaN decode step is the typed NonFiniteLogits, as in greedy decoding,
+    not the bare ValueError ``rng.choice`` raises on NaN probabilities."""
+    model, batch, _ = du_setup
+    original = model.step_log_probs
+
+    def nan_step(prev_tokens, state, context, row_indices=None):
+        log_probs, state = original(prev_tokens, state, context, row_indices)
+        log_probs[0, :] = np.nan
+        return log_probs, state
+
+    monkeypatch.setattr(model, "step_log_probs", nan_step)
+    with pytest.raises(NonFiniteLogits) as excinfo:
+        sample_decode(model, batch, np.random.default_rng(0), max_length=6)
+    assert excinfo.value.step == 0
+    assert excinfo.value.rows == 1

@@ -11,7 +11,7 @@ from repro.nn.attention import GlobalAttention
 from repro.nn.functional import fused_attention, fused_pointer_probs
 from repro.tensor import Tensor, no_grad
 from repro.tensor.gradcheck import check_gradients
-from repro.tensor.lazy import lazy
+from repro.tensor.fusion import lazy
 from repro.tensor.ops import expand_dims, masked_fill, softmax
 
 dims = st.integers(2, 5)

@@ -30,7 +30,7 @@ from repro.serving import (
     pad_context,
 )
 from repro.tensor.core import no_grad
-from repro.tensor.lazy import lazy
+from repro.tensor.fusion import lazy
 
 from conftest import DECODER, ENCODER, WORDS, build_service, request_texts
 

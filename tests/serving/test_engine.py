@@ -29,7 +29,7 @@ from repro.serving import (
     pad_batch,
 )
 
-from repro.tensor.lazy import lazy
+from repro.tensor.fusion import lazy
 
 import conftest
 from conftest import build_tiny_model, request_texts

@@ -6,6 +6,7 @@ backwards. Also the reentrancy-audited ``no_grad``.
 """
 
 import importlib
+import types
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from repro.serving import (
 )
 from repro.tensor import Tensor, no_grad
 from repro.tensor.core import is_grad_enabled
-from repro.tensor.lazy import is_lazy_enabled, lazy
+from repro.tensor.fusion import is_lazy_enabled, lazy
 from repro.tensor.profiler import TapeProfile
 
 acnn_module = importlib.import_module("repro.models.acnn")
@@ -107,6 +108,17 @@ def test_lazy_exception_safe():
         with lazy():
             raise RuntimeError("boom")
     assert not is_lazy_enabled()
+
+
+def test_fusion_submodule_import_binds_the_module():
+    """The package re-exports the class ``lazy``; the submodule that defines
+    it has another name, so a dotted import binds the module, not the class."""
+    import repro.tensor.fusion as fusion_module
+    from repro.tensor import lazy as exported
+
+    assert isinstance(fusion_module, types.ModuleType)
+    assert isinstance(fusion_module._LAZY, list)
+    assert exported is fusion_module.lazy is lazy
 
 
 def test_fusion_default_off_and_resolution():
