@@ -16,7 +16,7 @@ import numpy as np
 from repro.data.batching import Batch
 from repro.data.vocabulary import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Vocabulary
 from repro.decoding.hypothesis import Hypothesis, extended_ids_to_tokens
-from repro.models.base import QuestionGenerator
+from repro.models.base import NonFiniteLogits, QuestionGenerator
 from repro.models.du_attention import DuAttentionModel
 from repro.tensor.core import no_grad
 
@@ -31,7 +31,8 @@ def greedy_decode_with_attention(
     """Greedy decode recording per-step attention (for UNK replacement).
 
     Returns the hypotheses plus, per example, one attention vector per
-    emitted token.
+    emitted token. A NaN step raises
+    :class:`~repro.models.base.NonFiniteLogits`, as in greedy decoding.
     """
     model.eval()
     with no_grad():
@@ -44,7 +45,7 @@ def greedy_decode_with_attention(
         log_probs = np.zeros(batch_size)
         finished = np.zeros(batch_size, dtype=bool)
 
-        for _ in range(max_length):
+        for step in range(max_length):
             token_ids = model.map_to_decoder_vocab(prev, model.decoder_vocab_size, UNK_ID)
             embedded = model.decoder_embedding(token_ids)
             _, _, attn, logits, new_states = model._decode_step(
@@ -55,6 +56,9 @@ def greedy_decode_with_attention(
 
             state = DecoderStepState(new_states)
             step_lp = log_softmax(logits, axis=-1).data
+            nan_rows = np.isnan(step_lp).any(axis=1)
+            if nan_rows.any():
+                raise NonFiniteLogits("_decode_step", step=step, rows=int(nan_rows.sum()))
             step_lp[:, PAD_ID] = -np.inf
             step_lp[:, BOS_ID] = -np.inf
             choices = step_lp.argmax(axis=1)

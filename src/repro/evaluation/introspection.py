@@ -20,7 +20,7 @@ from repro.data.dataset import EncodedExample
 from repro.data.vocabulary import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Vocabulary
 from repro.decoding.hypothesis import extended_ids_to_tokens
 from repro.models.acnn import ACNN
-from repro.models.base import DecoderStepState
+from repro.models.base import DecoderStepState, NonFiniteLogits
 from repro.tensor.core import Tensor, no_grad
 from repro.tensor.ops import softmax
 
@@ -64,7 +64,11 @@ def trace_generation(
     decoder_vocab: Vocabulary,
     max_length: int = 30,
 ) -> GenerationTrace:
-    """Greedy-decode one example, recording the model internals per step."""
+    """Greedy-decode one example, recording the model internals per step.
+
+    A NaN step raises :class:`~repro.models.base.NonFiniteLogits`, as in
+    greedy decoding.
+    """
     if not isinstance(model, ACNN):
         raise TypeError("trace_generation requires an ACNN (it reads the copy internals)")
     model.eval()
@@ -75,7 +79,7 @@ def trace_generation(
         context = model.encode(batch)
         state = model.initial_decoder_state(context)
         prev = np.array([BOS_ID], dtype=np.int64)
-        for _ in range(max_length):
+        for step in range(max_length):
             token_ids = model.map_to_decoder_vocab(prev, model.decoder_vocab_size, UNK_ID)
             embedded = model.decoder_embedding(token_ids)
             coverage = Tensor(state.coverage) if state.coverage is not None else None
@@ -93,6 +97,8 @@ def trace_generation(
             z = model.switch(d_k, c_k, embedded).data
 
             extended = model._extended_mixture(p_att, p_cop, z, context.src_ext, context.max_oov)[0]
+            if np.isnan(extended).any():
+                raise NonFiniteLogits("_extended_mixture", step=step, rows=1)
             extended[PAD_ID] = 0.0
             extended[BOS_ID] = 0.0
             choice = int(extended.argmax())

@@ -130,6 +130,7 @@ class Tensor:
         "_parents",
         "name",
         "_provenance",
+        "_takes_broadcast",
     )
 
     def __init__(
@@ -224,16 +225,50 @@ class Tensor:
         return out
 
     def _accumulate_grad(self, grad: np.ndarray) -> None:
+        """Add ``grad`` (unbroadcast to this tensor's shape) into :attr:`grad`.
+
+        Gradient ownership:
+
+        - An interior node (one that still has a backward closure) borrows
+          its first gradient as a read-only view instead of copying it,
+          when the view has the dtype and strides a copy would have (see
+          :func:`_is_dense`). Its closure only reads the gradient, so a
+          fresh product flows on without being written out twice. Any
+          other layout (a broadcast or a strided slice) is copied, so every
+          consumer sees the bytes and strides it always saw.
+        - A ``mul`` node also borrows a stride-0 broadcast (what ``sum``
+          hands back) whose copy would be C-ordered; its backward computes
+          the products in C order, as they were from that copy.
+        - A second contribution to a borrowed gradient makes a new array
+          in the copy's layout; an owned gradient is added in place. Both
+          run the same ``add`` on the same operands as copy-then-``+=``.
+        - In-place writers copy first (:meth:`_grad_buffer`).
+        - Leaves and Parameters always own their gradient: clipping,
+          loss-scale unscaling and embedding pad-row zeroing write into
+          ``param.grad`` in place.
+        """
         if not self.requires_grad:
             return
         grad = _unbroadcast(np.asarray(grad), self.data.shape)
         if _ANOMALY:
             for state in _ANOMALY:
                 state.on_grad(self, grad)
-        if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
+        current = self.grad
+        if current is None:
+            if (
+                self._backward_fn is not None
+                and grad.dtype == self.data.dtype
+                and (_is_dense(grad) or (getattr(self, "_takes_broadcast", False) and _copies_to_c(grad)))
+            ):
+                borrowed = grad.view()
+                borrowed.flags.writeable = False
+                self.grad = borrowed
+            else:
+                self.grad = grad.astype(self.data.dtype, copy=True)
+        elif current.flags.writeable:
+            current += grad
         else:
-            self.grad += grad
+            self.grad = np.add(current, grad, out=np.empty_like(current))
 
     def _grad_buffer(self) -> np.ndarray:
         """The gradient array, allocated (zeroed) on first use.
@@ -243,9 +278,15 @@ class Tensor:
         backward call — the difference between O(slice) and O(tensor) work
         per recurrent timestep. Writers must go through
         :meth:`_scatter_grad` so anomaly detection still sees the write.
+
+        The buffer is written in place, so it is always owned: a gradient
+        borrowed read-only by :meth:`_accumulate_grad` is copied (in its
+        own layout) before the first write.
         """
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
+        elif not self.grad.flags.writeable:
+            self.grad = self.grad.copy(order="K")
         return self.grad
 
     def _scatter_grad(self, key, grad: np.ndarray, basic: bool = False) -> None:
@@ -375,10 +416,15 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(grad * other.data)
-            other._accumulate_grad(grad * self.data)
+            # A borrowed broadcast stands in for its C-ordered copy: the
+            # products take the layout they had from that copy.
+            order = "K" if _is_dense(grad) else "C"
+            self._accumulate_grad(np.multiply(grad, other.data, order=order))
+            other._accumulate_grad(np.multiply(grad, self.data, order=order))
 
-        return Tensor._from_op(out_data, (self, other), backward)
+        out = Tensor._from_op(out_data, (self, other), backward)
+        out._takes_broadcast = True
+        return out
 
     def __rmul__(self, other) -> "Tensor":
         return self.__mul__(other)
@@ -417,24 +463,33 @@ class Tensor:
         out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
-            if self.data.ndim == 1 and other.data.ndim == 1:
+            a, b = self.data, other.data
+            if a.ndim == 1 and b.ndim == 1:
                 # Vector dot product: grad is a scalar.
-                self._accumulate_grad(grad * other.data)
-                other._accumulate_grad(grad * self.data)
+                self._accumulate_grad(grad * b)
+                other._accumulate_grad(grad * a)
                 return
+            # numpy treats a 1-D left operand as a row and a 1-D right operand
+            # as a column, then drops that axis from the result. The N-D
+            # cases put it back on ``grad``; _unbroadcast sums batch axes.
             if self.requires_grad:
-                if other.data.ndim == 1:
+                if b.ndim == 1:
                     # (..., n) @ (n,) -> (...,): outer-product style gradient.
-                    self._accumulate_grad(np.expand_dims(grad, -1) * other.data)
+                    self._accumulate_grad(np.expand_dims(grad, -1) * b)
+                elif a.ndim == 1 and b.ndim > 2:
+                    # (n,) @ (..., n, k) -> (..., k)
+                    self._accumulate_grad((np.expand_dims(grad, -2) @ np.swapaxes(b, -1, -2))[..., 0, :])
                 else:
-                    self._accumulate_grad(grad @ np.swapaxes(other.data, -1, -2))
+                    self._accumulate_grad(grad @ np.swapaxes(b, -1, -2))
             if other.requires_grad:
-                if self.data.ndim == 1:
-                    # (n,) @ (n, k) -> (k,)
-                    other._accumulate_grad(np.outer(self.data, grad))
+                if a.ndim == 1:
+                    # (n,) @ (..., n, k) -> (..., k): an outer product per batch entry.
+                    other._accumulate_grad(np.expand_dims(a, -1) * np.expand_dims(grad, -2))
+                elif b.ndim == 1 and a.ndim > 2:
+                    # (..., m, n) @ (n,) -> (..., m)
+                    other._accumulate_grad((np.swapaxes(a, -1, -2) @ np.expand_dims(grad, -1))[..., 0])
                 else:
-                    grad_other = np.swapaxes(self.data, -1, -2) @ grad
-                    other._accumulate_grad(grad_other)
+                    other._accumulate_grad(np.swapaxes(a, -1, -2) @ grad)
 
         return Tensor._from_op(out_data, (self, other), backward)
 
@@ -493,6 +548,48 @@ class Tensor:
         """Arithmetic mean over all elements or the given axis/axes."""
         count = self.data.size if axis is None else _axis_size(self.data.shape, axis)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)  # numerics: ok — empty-axis mean raises in sum()
+
+
+def _copy_order(array: np.ndarray) -> list[int]:
+    """Axes from outermost to innermost in ``array.copy(order="K")``.
+
+    numpy's ``order="K"`` rule, which ``astype`` and ``empty_like`` follow:
+    C order for a C-contiguous array, F order for an F-contiguous one, else
+    axes by decreasing absolute stride, ties in axis order.
+    """
+    axes = range(array.ndim)
+    if array.flags.c_contiguous or array.ndim <= 1:
+        return list(axes)
+    if array.flags.f_contiguous:
+        return list(reversed(axes))
+    strides = array.strides
+    return sorted(axes, key=lambda axis: -abs(strides[axis]))
+
+
+def _is_dense(array: np.ndarray) -> bool:
+    """True when ``array`` already has the strides its copy would have.
+
+    Borrowing such an array instead of copying it changes no consumer's
+    layout, so no BLAS call or reduction can round differently. Broadcasts
+    (stride 0), strided slices and reversed views are not dense.
+    """
+    strides = array.strides
+    step = array.itemsize
+    for axis in reversed(_copy_order(array)):
+        if strides[axis] != step:
+            return False
+        step *= array.shape[axis]
+    return True
+
+
+def _copies_to_c(array: np.ndarray) -> bool:
+    """True when the copy of ``array`` is C-contiguous.
+
+    For a broadcast that means its real axes run in C order and its
+    stride-0 axes come last, which is where a copy puts them.
+    """
+    real = [axis for axis in _copy_order(array) if array.shape[axis] > 1]
+    return real == sorted(real)
 
 
 def _is_basic_index(key) -> bool:

@@ -141,6 +141,24 @@ def test_sample_decode_validation(du_setup):
         sample_decode(model, batch, np.random.default_rng(0), top_k=0)
 
 
+def test_greedy_with_attention_nan_step_raises_typed_error(du_setup, monkeypatch):
+    """A NaN decode step raises NonFiniteLogits instead of returning a
+    hypothesis with ``log_prob=nan``."""
+    model, batch, _ = du_setup
+    original = model._decode_step
+
+    def nan_step(*args, **kwargs):
+        d_k, c_k, attn, logits, states = original(*args, **kwargs)
+        logits.data[0, :] = np.nan
+        return d_k, c_k, attn, logits, states
+
+    monkeypatch.setattr(model, "_decode_step", nan_step)
+    with pytest.raises(NonFiniteLogits) as excinfo:
+        greedy_decode_with_attention(model, batch, max_length=6)
+    assert excinfo.value.step == 0
+    assert excinfo.value.rows == 1
+
+
 def test_sample_decode_nan_step_raises_typed_error(du_setup, monkeypatch):
     """A NaN decode step is the typed NonFiniteLogits, as in greedy decoding,
     not the bare ValueError ``rng.choice`` raises on NaN probabilities."""

@@ -53,6 +53,24 @@ def test_trace_structure(trained_acnn):
         assert np.isclose(step.copy_distribution.sum(), 1.0, atol=1e-6)
 
 
+def test_trace_nan_step_raises_typed_error(trained_acnn, monkeypatch):
+    """A NaN decode step raises NonFiniteLogits instead of tracing NaNs."""
+    from repro.models.base import NonFiniteLogits
+
+    model, dataset, decoder = trained_acnn
+    original = model._decode_step
+
+    def nan_step(*args, **kwargs):
+        d_k, c_k, attn, logits, states = original(*args, **kwargs)
+        logits.data[:] = np.nan
+        return d_k, c_k, attn, logits, states
+
+    monkeypatch.setattr(model, "_decode_step", nan_step)
+    with pytest.raises(NonFiniteLogits) as excinfo:
+        trace_generation(model, dataset[0], decoder, max_length=10)
+    assert excinfo.value.step == 0
+
+
 def test_trace_requires_acnn(trained_acnn):
     _, dataset, decoder = trained_acnn
     other = build_model(

@@ -102,6 +102,42 @@ def test_matmul_batched_with_shared_weight():
     check_gradients(lambda: (x @ w).sum(), [x, w])
 
 
+# Operand shapes by ndim: inner size 3, rows 2, columns 5, batch 4 (and a
+# leading 6 on the 4-D operand), all distinct so a mixed-up axis shows.
+_LEFT_SHAPES = {1: (3,), 2: (2, 3), 3: (4, 2, 3), 4: (6, 4, 2, 3)}
+_RIGHT_SHAPES = {1: (3,), 2: (3, 5), 3: (4, 3, 5)}
+
+
+@pytest.mark.parametrize("right_ndim", sorted(_RIGHT_SHAPES))
+@pytest.mark.parametrize("left_ndim", sorted(_LEFT_SHAPES))
+def test_matmul_gradcheck_over_operand_ndims(left_ndim, right_ndim):
+    rng = np.random.default_rng(10 * left_ndim + right_ndim)
+    a = Tensor(rng.standard_normal(_LEFT_SHAPES[left_ndim]), requires_grad=True)
+    b = Tensor(rng.standard_normal(_RIGHT_SHAPES[right_ndim]), requires_grad=True)
+    weights = rng.standard_normal((a.data @ b.data).shape)
+    check_gradients(lambda: ((a @ b) * weights).sum(), [a, b])
+
+
+def test_matmul_2d_gradients_are_the_plain_products():
+    rng = np.random.default_rng(4)
+    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    v = Tensor(rng.standard_normal(4), requires_grad=True)
+    u = Tensor(rng.standard_normal(3), requires_grad=True)
+    g_ab, g_av, g_ua = rng.standard_normal((3, 2)), rng.standard_normal(3), rng.standard_normal(4)
+    (a @ b).backward(g_ab)
+    assert a.grad.tobytes() == (g_ab @ b.data.T).tobytes()
+    assert b.grad.tobytes() == (a.data.T @ g_ab).tobytes()
+    a.zero_grad()
+    (a @ v).backward(g_av)
+    assert a.grad.tobytes() == (g_av[:, None] * v.data).tobytes()
+    assert v.grad.tobytes() == (a.data.T @ g_av).tobytes()
+    a.zero_grad()
+    (u @ a).backward(g_ua)
+    assert u.grad.tobytes() == (g_ua @ a.data.T).tobytes()
+    assert a.grad.tobytes() == np.outer(u.data, g_ua).tobytes()
+
+
 def test_sum_axis_and_keepdims():
     a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     out = a.sum(axis=1, keepdims=True)
