@@ -148,6 +148,7 @@ class Tensor:
         self._backward_fn: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self.name = name
+        self._takes_broadcast = False
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -231,14 +232,16 @@ class Tensor:
 
         - An interior node (one that still has a backward closure) borrows
           its first gradient as a read-only view instead of copying it,
-          when the view has the dtype and strides a copy would have (see
-          :func:`_is_dense`). Its closure only reads the gradient, so a
-          fresh product flows on without being written out twice. Any
-          other layout (a broadcast or a strided slice) is copied, so every
+          when the gradient has this node's dtype and C-ordered strides
+          (see :func:`_is_dense`), which are the strides its copy would
+          have. Its closure only reads the gradient, so a fresh product
+          flows on without being written out twice. Any other layout (a
+          broadcast, a transpose or a strided slice) is copied, so every
           consumer sees the bytes and strides it always saw.
-        - A ``mul`` node also borrows a stride-0 broadcast (what ``sum``
-          hands back) whose copy would be C-ordered; its backward computes
-          the products in C order, as they were from that copy.
+        - A ``mul`` node (``_takes_broadcast``) also borrows a broadcast
+          (what ``sum`` hands back) whose copy would be C-ordered; its
+          backward computes the products in C order, as they were from
+          that copy.
         - A second contribution to a borrowed gradient makes a new array
           in the copy's layout; an owned gradient is added in place. Both
           run the same ``add`` on the same operands as copy-then-``+=``.
@@ -249,7 +252,9 @@ class Tensor:
         """
         if not self.requires_grad:
             return
-        grad = _unbroadcast(np.asarray(grad), self.data.shape)
+        # A full reduction in _unbroadcast (or a ufunc on 0-d operands)
+        # gives a numpy scalar; the borrow below needs an array.
+        grad = np.asarray(_unbroadcast(np.asarray(grad), self.data.shape))
         if _ANOMALY:
             for state in _ANOMALY:
                 state.on_grad(self, grad)
@@ -258,7 +263,7 @@ class Tensor:
             if (
                 self._backward_fn is not None
                 and grad.dtype == self.data.dtype
-                and (_is_dense(grad) or (getattr(self, "_takes_broadcast", False) and _copies_to_c(grad)))
+                and (_is_dense(grad) or (self._takes_broadcast and np.empty_like(grad).flags.c_contiguous))
             ):
                 borrowed = grad.view()
                 borrowed.flags.writeable = False
@@ -280,13 +285,13 @@ class Tensor:
         :meth:`_scatter_grad` so anomaly detection still sees the write.
 
         The buffer is written in place, so it is always owned: a gradient
-        borrowed read-only by :meth:`_accumulate_grad` is copied (in its
-        own layout) before the first write.
+        borrowed read-only by :meth:`_accumulate_grad` is copied before the
+        first write.
         """
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         elif not self.grad.flags.writeable:
-            self.grad = self.grad.copy(order="K")
+            self.grad = self.grad.copy()
         return self.grad
 
     def _scatter_grad(self, key, grad: np.ndarray, basic: bool = False) -> None:
@@ -416,9 +421,9 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            # A borrowed broadcast stands in for its C-ordered copy: the
-            # products take the layout they had from that copy.
-            order = "K" if _is_dense(grad) else "C"
+            # An owned gradient keeps its layout. A borrowed one is C-ordered
+            # or stands in for its C-ordered copy, so the products are too.
+            order = "K" if grad.flags.writeable else "C"
             self._accumulate_grad(np.multiply(grad, other.data, order=order))
             other._accumulate_grad(np.multiply(grad, self.data, order=order))
 
@@ -550,46 +555,20 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)  # numerics: ok — empty-axis mean raises in sum()
 
 
-def _copy_order(array: np.ndarray) -> list[int]:
-    """Axes from outermost to innermost in ``array.copy(order="K")``.
-
-    numpy's ``order="K"`` rule, which ``astype`` and ``empty_like`` follow:
-    C order for a C-contiguous array, F order for an F-contiguous one, else
-    axes by decreasing absolute stride, ties in axis order.
-    """
-    axes = range(array.ndim)
-    if array.flags.c_contiguous or array.ndim <= 1:
-        return list(axes)
-    if array.flags.f_contiguous:
-        return list(reversed(axes))
-    strides = array.strides
-    return sorted(axes, key=lambda axis: -abs(strides[axis]))
-
-
 def _is_dense(array: np.ndarray) -> bool:
-    """True when ``array`` already has the strides its copy would have.
+    """True when ``array`` has C-ordered strides, which its copy would have.
 
     Borrowing such an array instead of copying it changes no consumer's
     layout, so no BLAS call or reduction can round differently. Broadcasts
-    (stride 0), strided slices and reversed views are not dense.
+    (stride 0), strided slices, transposes and C-contiguous arrays with an
+    odd stride on a size-1 axis are not dense.
     """
-    strides = array.strides
     step = array.itemsize
-    for axis in reversed(_copy_order(array)):
-        if strides[axis] != step:
+    for size, stride in zip(reversed(array.shape), reversed(array.strides)):
+        if stride != step:
             return False
-        step *= array.shape[axis]
+        step *= size
     return True
-
-
-def _copies_to_c(array: np.ndarray) -> bool:
-    """True when the copy of ``array`` is C-contiguous.
-
-    For a broadcast that means its real axes run in C order and its
-    stride-0 axes come last, which is where a copy puts them.
-    """
-    real = [axis for axis in _copy_order(array) if array.shape[axis] > 1]
-    return real == sorted(real)
 
 
 def _is_basic_index(key) -> bool:

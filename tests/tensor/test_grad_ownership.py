@@ -5,8 +5,8 @@ it; leaves and Parameters always own theirs (see
 ``Tensor._accumulate_grad``). These tests pin the three consequences:
 no leaf gradient aliases an array someone else can write, a borrowed
 gradient cannot be written in place, and every leaf gradient has the
-bytes an always-copy tape gives, checked by a hypothesis oracle over
-random graphs.
+bytes and strides an always-copy tape gives, checked by a hypothesis
+oracle over random graphs.
 """
 
 import contextlib
@@ -21,6 +21,7 @@ from repro.tensor import (
     Tensor,
     concat,
     detect_anomaly,
+    ensure_tensor,
     expand_dims,
     gather_rows,
     log_softmax,
@@ -49,15 +50,27 @@ def _always_copy_buffer(self):
     return self.grad
 
 
+def _plain_mul(self, other):
+    """``mul`` before borrowing: products in numpy's default layout."""
+    other = ensure_tensor(other)
+
+    def backward(grad):
+        self._accumulate_grad(grad * other.data)
+        other._accumulate_grad(grad * self.data)
+
+    return Tensor._from_op(self.data * other.data, (self, other), backward)
+
+
 @contextlib.contextmanager
 def _always_copy():
-    saved = core.Tensor._accumulate_grad, core.Tensor._grad_buffer
+    saved = core.Tensor._accumulate_grad, core.Tensor._grad_buffer, core.Tensor.__mul__
     core.Tensor._accumulate_grad = _always_copy_accumulate
     core.Tensor._grad_buffer = _always_copy_buffer
+    core.Tensor.__mul__ = _plain_mul
     try:
         yield
     finally:
-        core.Tensor._accumulate_grad, core.Tensor._grad_buffer = saved
+        core.Tensor._accumulate_grad, core.Tensor._grad_buffer, core.Tensor.__mul__ = saved
 
 
 def _passthrough(parent: Tensor, produced: np.ndarray) -> Tensor:
@@ -117,6 +130,22 @@ def test_in_place_write_to_borrowed_interior_grad_raises():
     np.testing.assert_array_equal(a.grad, b.grad)
 
 
+def test_zero_d_interior_node_takes_a_broadcast_gradient():
+    # mean is sum * (1 / count): a 0-d mul node whose gradient comes back
+    # from the (3, 4) subtraction through a full reduction.
+    rng = np.random.default_rng(2)
+    x_data, w_data = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    grads = []
+    for context in (contextlib.nullcontext, _always_copy):
+        with context():
+            x = Tensor(x_data, requires_grad=True)
+            w = Tensor(w_data, requires_grad=True)
+            ((x - x.mean()) * w).sum().backward()
+        grads.append((x.grad, w.grad))
+    for got, want in zip(*grads):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_second_contribution_to_borrowed_grad_makes_a_new_array():
     x = Tensor(np.arange(4.0), requires_grad=True)
     h = x * 1.0
@@ -170,6 +199,16 @@ def _broadcastable_shape(draw, shape):
     return tuple(dim if draw(st.booleans()) else 1 for dim in shape[drop:])
 
 
+def _widened_shape(draw, shape):
+    """A shape ``shape`` broadcasts to: size-1 axes grow, axes are prepended.
+
+    A 0-d node (a full ``sum``) always gains at least one axis, so its
+    gradient comes back through a full reduction in ``_unbroadcast``.
+    """
+    lead = draw(st.lists(st.integers(1, 6), min_size=0 if shape else 1, max_size=max(0, 3 - len(shape))))
+    return tuple(lead) + tuple(draw(st.integers(1, 6)) if dim == 1 else dim for dim in shape)
+
+
 @st.composite
 def graphs(draw):
     """A straight-line program over leaves and ops, with every node's shape."""
@@ -191,9 +230,11 @@ def graphs(draw):
         if op in ("tanh", "square"):
             step, out = (op, src), shape
         elif op == "broadcast":
-            other = new_leaf(_broadcastable_shape(draw, shape))
+            # The leaf is the narrow operand, or the node is broadcast up.
+            widen = draw(st.booleans())
+            other = new_leaf((_widened_shape if widen else _broadcastable_shape)(draw, shape))
             kind = draw(st.sampled_from(("mul", "add", "sub")))
-            step, out = (op, src, other, kind, draw(st.booleans())), shape
+            step, out = (op, src, other, kind, draw(st.booleans())), np.broadcast_shapes(shape, leaves[other])
         elif op == "sum":
             axis = None if ndim == 0 else draw(st.one_of(st.none(), st.integers(0, ndim - 1)))
             keepdims = draw(st.booleans())
@@ -313,6 +354,7 @@ def test_leaf_grads_match_always_copy_byte_for_byte(graph, seed):
             assert got is None
             continue
         assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.strides == want.strides
         assert got.tobytes() == want.tobytes()
 
 
@@ -342,6 +384,25 @@ NAMED_GRAPHS = {
         [(12, 10), (10, 12), (10, 12), (10,)],
         [3],
     ),
+    # A tanh over F-ordered data gets a broadcast whose copy is C-ordered.
+    # Only a mul computes its products in the copy's layout, so the tanh
+    # must copy it; borrowed, its product and the leaf gradient would come
+    # out F-ordered.
+    "broadcast_into_tanh_of_f_order": (
+        [(12, 10)],
+        [("leaf", 0), ("transpose", 0, (1, 0)), ("tanh", 1), ("sum", 2, 1, False)],
+        [(12, 10), (10, 12), (10, 12), (10,)],
+        [3],
+    ),
+    # An F-ordered square, transposed back: the mul copies the F-ordered
+    # view the transpose hands it and owns that copy. Both its operands are
+    # F-ordered, so its products keep the F layout they had from the copy.
+    "owned_f_order_into_mul": (
+        [(12, 10)],
+        [("leaf", 0), ("transpose", 0, (1, 0)), ("square", 1), ("transpose", 2, (1, 0))],
+        [(12, 10), (10, 12), (10, 12), (12, 10)],
+        [3],
+    ),
     # Summing over axis 0 makes a broadcast whose copy is F-ordered; the
     # products from that copy are F-ordered too, so it must be copied.
     "broadcast_copied_to_f_order": (
@@ -349,6 +410,14 @@ NAMED_GRAPHS = {
         [("leaf", 0), ("transpose", 0, (1, 0)), ("broadcast", 1, 1, "mul", False), ("sum", 2, 0, False)],
         [(12, 10), (10, 12), (10, 12), (12,)],
         [3],
+    ),
+    # A full sum is a 0-d interior node; subtracting it from a full-shape
+    # leaf sends its gradient back through a full reduction.
+    "full_sum_broadcast_up": (
+        [(3, 4), (3, 4)],
+        [("leaf", 0), ("sum", 0, None, False), ("broadcast", 1, 1, "sub", True)],
+        [(3, 4), (), (3, 4)],
+        [2],
     ),
     # x * x: both contributions come from one backward call.
     "square": ([(8, 36)], [("leaf", 0), ("square", 0), ("sum", 1, None, False)], [(8, 36), (8, 36), ()], [2]),
@@ -384,4 +453,5 @@ def test_named_graphs_match_always_copy(name):
         with _always_copy():
             copied = _run(NAMED_GRAPHS[name], seed)
         for got, want in zip(borrowed, copied):
+            assert got.strides == want.strides
             assert got.tobytes() == want.tobytes()
