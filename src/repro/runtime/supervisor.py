@@ -77,7 +77,8 @@ class SupervisorConfig:
     heartbeat_interval:
         How often workers send heartbeats (must be < ``worker_timeout``).
     poll_interval:
-        Coordinator's supervision cadence while waiting on workers.
+        Coordinator's supervision cadence while waiting on workers; never
+        delays a dispatch.
     max_worker_restarts:
         Per-rank restart budget; exhausting it retires the rank.
     restart_backoff:

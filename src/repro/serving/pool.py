@@ -62,7 +62,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from repro.data.dataset import EncodedExample
 from repro.data.vocabulary import Vocabulary
 from repro.observability import Telemetry, get_telemetry
 from repro.runtime.supervisor import (
@@ -346,7 +345,6 @@ class _RankState:
 @dataclass
 class _Ticket:
     request: GenerationRequest
-    encoded: EncodedExample
     seq: int
 
 
@@ -462,7 +460,7 @@ class ServingPool:
         if self._draining:
             return self._shed(request, "draining")
         try:
-            encoded = self.validator.admit(request)
+            self.validator.admit(request)  # reject here; the worker re-encodes it
         except RejectedRequest as error:
             self.stats.rejected += 1
             self.stats.rejected_by_reason[error.reason] = (
@@ -476,7 +474,7 @@ class ServingPool:
             )
         if self.queue_depth >= self.config.queue_limit:
             return self._shed(request, "queue_full")
-        self._pending.append(_Ticket(request, encoded, self._seq))
+        self._pending.append(_Ticket(request, self._seq))
         self._seq += 1
         return None
 
@@ -490,9 +488,16 @@ class ServingPool:
         )
 
     def pump(self) -> list[RequestOutcome]:
-        """One supervision + dispatch + collection pass."""
+        """One pass: supervise, dispatch, collect, dispatch again.
+
+        Pending tickets reach the workers with room before the collection
+        waits (up to ``poll_interval``) on their pipes, so a pump blocks
+        only when nothing it holds can be dispatched. The second dispatch
+        fills the capacity the collected results freed.
+        """
         self.start()
         self._supervise()
+        self._dispatch()
         self._collect()
         self._dispatch()
         self._gauges()

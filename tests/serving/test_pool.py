@@ -8,10 +8,12 @@ serves, how many die on the way, or how the survivors re-dispatch.
 
 import os
 import signal
+import time
 
 import pytest
 
 from repro.observability import Telemetry
+from repro.runtime.supervisor import Supervisor
 from repro.serving import (
     ContinuousBatchingEngine,
     DrainGuard,
@@ -203,6 +205,59 @@ def test_begin_drain_sheds_new_submissions_and_finishes_in_flight():
     assert len(served) == 6  # everything admitted before the drain resolved
     assert_exactly_once(pool, 10)
     assert pool.stats.shed_by_reason == {"draining": 4}
+
+
+# ----------------------------------------------------------------------
+# Coordinator loop: dispatch never waits out a poll
+# ----------------------------------------------------------------------
+def test_pump_dispatches_before_it_waits_on_the_workers(monkeypatch):
+    pool = make_pool()
+    seen_in_flight = []
+    wait = Supervisor.messages
+
+    def spy(supervisor):
+        seen_in_flight.append(
+            {rid for state in pool._ranks.values() for rid in state.in_flight}
+        )
+        yield from wait(supervisor)
+
+    monkeypatch.setattr(Supervisor, "messages", spy)
+    try:
+        pool.start()
+        assert pool.in_flight == 0 and pool.queue_depth == 0
+        assert pool.submit(GenerationRequest("zorvex was born in karlin .",
+                                             request_id="idle-0")) is None
+        outcomes = pool.pump()
+        assert seen_in_flight and seen_in_flight[0] == {"idle-0"}
+        outcomes.extend(pool.drain())
+    finally:
+        pool.shutdown()
+    assert [o.status for o in outcomes] == ["served"]
+
+
+def test_pump_refills_the_slot_its_collection_freed():
+    pool = make_pool(
+        config=PoolConfig(workers=1, max_in_flight_per_worker=1, worker_timeout=5.0,
+                          heartbeat_interval=0.1, poll_interval=0.01),
+    )
+    first, second = make_requests(2)
+    try:
+        assert pool.submit(first) is None
+        assert pool.submit(second) is None
+        deadline = time.monotonic() + 30.0
+        outcomes = []
+        while not outcomes and time.monotonic() < deadline:
+            outcomes = pool.pump()
+        # The pump that collected the first result already handed the
+        # second ticket to the worker it freed.
+        assert [o.request_id for o in outcomes] == [first.request_id]
+        assert pool.queue_depth == 0
+        assert set(pool._ranks[0].in_flight) == {second.request_id}
+        outcomes.extend(pool.drain())
+    finally:
+        pool.shutdown()
+    assert [o.status for o in outcomes] == ["served", "served"]
+    assert_exactly_once(pool, 2)
 
 
 # ----------------------------------------------------------------------
