@@ -9,10 +9,10 @@ import numpy as np
 from repro.data.batching import Batch
 from repro.data.vocabulary import BOS_ID, EOS_ID, PAD_ID
 from repro.decoding.hypothesis import Hypothesis
-from repro.models.base import NonFiniteLogits, QuestionGenerator
+from repro.models.base import DecodeStep, NonFiniteLogits, QuestionGenerator
 from repro.tensor.core import no_grad
 
-__all__ = ["decode_tokens", "greedy_decode"]
+__all__ = ["decode_tokens", "greedy_decode", "recording_step"]
 
 
 def greedy_decode(
@@ -31,9 +31,24 @@ def greedy_decode(
     step); a NaN decode step raises the typed
     :class:`~repro.models.base.NonFiniteLogits`.
     """
-    return decode_tokens(
-        model, batch, lambda step_lp: step_lp.argmax(axis=1), max_length, deadline
-    )
+    return decode_tokens(model, batch, argmax_pick, max_length, deadline)
+
+
+def argmax_pick(step_lp: np.ndarray) -> np.ndarray:
+    """The greedy pick: each row's most probable token."""
+    return step_lp.argmax(axis=1)
+
+
+def recording_step(model: QuestionGenerator, records: list[DecodeStep]) -> Callable:
+    """A :func:`decode_tokens` step that runs ``model.decode_step`` and
+    appends each step's record to ``records``."""
+
+    def step(prev_tokens, state, context):
+        record = model.decode_step(prev_tokens, state, context)
+        records.append(record)
+        return record.log_probs, record.state
+
+    return step
 
 
 def decode_tokens(
@@ -42,6 +57,7 @@ def decode_tokens(
     pick: Callable[[np.ndarray], np.ndarray],
     max_length: int = 30,
     deadline=None,
+    step_fn: Callable | None = None,
 ) -> list[Hypothesis]:
     """The token loop greedy and sampled decoding share.
 
@@ -49,7 +65,13 @@ def decode_tokens(
     ``-inf``) to the next token of every row; finished rows keep feeding
     EOS. A NaN step raises :class:`~repro.models.base.NonFiniteLogits`
     before ``pick`` sees it.
+
+    ``step_fn`` replaces ``model.step_log_probs`` (same arguments and
+    result); the trace and UNK-replacement decoders pass one that keeps
+    each step's :class:`~repro.models.base.DecodeStep`.
     """
+    if step_fn is None:
+        step_fn = model.step_log_probs
     model.eval()
     with no_grad():
         if deadline is not None:
@@ -66,7 +88,7 @@ def decode_tokens(
         for step in range(max_length):
             if deadline is not None:
                 deadline.check()
-            step_lp, state = model.step_log_probs(prev, state, context)
+            step_lp, state = step_fn(prev, state, context)
             nan_rows = np.isnan(step_lp).any(axis=1)
             if nan_rows.any():
                 raise NonFiniteLogits("step_log_probs", step=step, rows=int(nan_rows.sum()))

@@ -14,11 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.batching import Batch
-from repro.data.vocabulary import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Vocabulary
-from repro.decoding.hypothesis import Hypothesis, extended_ids_to_tokens
-from repro.models.base import NonFiniteLogits, QuestionGenerator
+from repro.decoding.greedy import argmax_pick, decode_tokens, recording_step
+from repro.decoding.hypothesis import Hypothesis
+from repro.models.base import DecodeStep
 from repro.models.du_attention import DuAttentionModel
-from repro.tensor.core import no_grad
 
 __all__ = ["replace_unknowns", "greedy_decode_with_attention"]
 
@@ -31,54 +30,21 @@ def greedy_decode_with_attention(
     """Greedy decode recording per-step attention (for UNK replacement).
 
     Returns the hypotheses plus, per example, one attention vector per
-    emitted token. A NaN step raises
-    :class:`~repro.models.base.NonFiniteLogits`, as in greedy decoding.
+    emitted token. The tokens are :func:`~repro.decoding.greedy_decode`'s:
+    the model's own step picks them (for an ACNN, the Eq. 2 mixture with
+    coverage). A model without attention raises ``TypeError``; a NaN step
+    raises :class:`~repro.models.base.NonFiniteLogits`, as in greedy
+    decoding.
     """
-    model.eval()
-    with no_grad():
-        context = model.encode(batch)
-        state = model.initial_decoder_state(context)
-        batch_size = context.batch_size
-        prev = np.full(batch_size, BOS_ID, dtype=np.int64)
-        sequences: list[list[int]] = [[] for _ in range(batch_size)]
-        attentions: list[list[np.ndarray]] = [[] for _ in range(batch_size)]
-        log_probs = np.zeros(batch_size)
-        finished = np.zeros(batch_size, dtype=bool)
-
-        for step in range(max_length):
-            token_ids = model.map_to_decoder_vocab(prev, model.decoder_vocab_size, UNK_ID)
-            embedded = model.decoder_embedding(token_ids)
-            _, _, attn, logits, new_states = model._decode_step(
-                embedded, state.lstm_states, context.encoder_states, context.src_pad_mask
-            )
-            from repro.models.base import DecoderStepState
-            from repro.tensor.ops import log_softmax
-
-            state = DecoderStepState(new_states)
-            step_lp = log_softmax(logits, axis=-1).data
-            nan_rows = np.isnan(step_lp).any(axis=1)
-            if nan_rows.any():
-                raise NonFiniteLogits("_decode_step", step=step, rows=int(nan_rows.sum()))
-            step_lp[:, PAD_ID] = -np.inf
-            step_lp[:, BOS_ID] = -np.inf
-            choices = step_lp.argmax(axis=1)
-            chosen_lp = step_lp[np.arange(batch_size), choices]
-            for row in range(batch_size):
-                if finished[row]:
-                    continue
-                log_probs[row] += chosen_lp[row]
-                if choices[row] == EOS_ID:
-                    finished[row] = True
-                    continue
-                sequences[row].append(int(choices[row]))
-                attentions[row].append(attn.data[row].copy())
-            if finished.all():
-                break
-            prev = np.where(finished, EOS_ID, choices)
-
-    hypotheses = [
-        Hypothesis(tuple(sequences[row]), float(log_probs[row]), finished=bool(finished[row]))
-        for row in range(batch_size)
+    if not isinstance(model, DuAttentionModel):
+        raise TypeError(f"{type(model).__name__} has no attention to replace UNKs with")
+    records: list[DecodeStep] = []
+    hypotheses = decode_tokens(
+        model, batch, argmax_pick, max_length, step_fn=recording_step(model, records)
+    )
+    attentions = [
+        [record.attention[row].copy() for record in records[: len(hypothesis.token_ids)]]
+        for row, hypothesis in enumerate(hypotheses)
     ]
     return hypotheses, attentions
 

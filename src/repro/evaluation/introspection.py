@@ -17,12 +17,11 @@ import numpy as np
 
 from repro.data.batching import collate
 from repro.data.dataset import EncodedExample
-from repro.data.vocabulary import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Vocabulary
+from repro.data.vocabulary import BOS_ID, PAD_ID, Vocabulary
+from repro.decoding.greedy import decode_tokens, recording_step
 from repro.decoding.hypothesis import extended_ids_to_tokens
 from repro.models.acnn import ACNN
-from repro.models.base import DecoderStepState, NonFiniteLogits
-from repro.tensor.core import Tensor, no_grad
-from repro.tensor.ops import softmax
+from repro.models.base import DecodeStep
 
 __all__ = ["StepTrace", "GenerationTrace", "trace_generation", "gate_statistics", "render_trace"]
 
@@ -71,61 +70,35 @@ def trace_generation(
     """
     if not isinstance(model, ACNN):
         raise TypeError("trace_generation requires an ACNN (it reads the copy internals)")
-    model.eval()
+    records: list[DecodeStep] = []
+
+    def pick(step_lp: np.ndarray) -> np.ndarray:
+        # The argmax of the Eq. 2 probabilities themselves: their smoothed
+        # log can round two near-tied top values into one.
+        probs = records[-1].probs.copy()
+        probs[:, [PAD_ID, BOS_ID]] = 0.0
+        return probs.argmax(axis=1)
+
     batch = collate([encoded], pad_id=PAD_ID)
-
-    steps: list[StepTrace] = []
-    with no_grad():
-        context = model.encode(batch)
-        state = model.initial_decoder_state(context)
-        prev = np.array([BOS_ID], dtype=np.int64)
-        for step in range(max_length):
-            token_ids = model.map_to_decoder_vocab(prev, model.decoder_vocab_size, UNK_ID)
-            embedded = model.decoder_embedding(token_ids)
-            coverage = Tensor(state.coverage) if state.coverage is not None else None
-            d_k, c_k, attn, logits, new_lstm = model._decode_step(
-                embedded,
-                state.lstm_states,
-                context.encoder_states,
-                context.src_pad_mask,
-                coverage=coverage,
-            )
-            p_att = softmax(logits, axis=-1).data
-            p_cop = model.copy_distribution(
-                d_k, c_k, context.encoder_states, context.src_pad_mask
-            ).data
-            z = model.switch(d_k, c_k, embedded).data
-
-            extended = model._extended_mixture(p_att, p_cop, z, context.src_ext, context.max_oov)[0]
-            if np.isnan(extended).any():
-                raise NonFiniteLogits("_extended_mixture", step=step, rows=1)
-            extended[PAD_ID] = 0.0
-            extended[BOS_ID] = 0.0
-            choice = int(extended.argmax())
-
-            state = DecoderStepState(
-                new_lstm,
-                coverage=state.coverage + attn.data if state.coverage is not None else None,
-            )
-            if choice == EOS_ID:
-                break
-            token = extended_ids_to_tokens([choice], decoder_vocab, encoded.oov_tokens)[0]
-            steps.append(
-                StepTrace(
-                    token=token,
-                    token_id=choice,
-                    copied=choice >= model.decoder_vocab_size,
-                    switch=float(z[0]),
-                    attention=attn.data[0].copy(),
-                    copy_distribution=p_cop[0].copy(),
-                )
-            )
-            prev = np.array([choice], dtype=np.int64)
-
+    (hypothesis,) = decode_tokens(
+        model, batch, pick, max_length, step_fn=recording_step(model, records)
+    )
+    tokens = extended_ids_to_tokens(hypothesis.token_ids, decoder_vocab, encoded.oov_tokens)
+    steps = tuple(
+        StepTrace(
+            token=token,
+            token_id=token_id,
+            copied=token_id >= model.decoder_vocab_size,
+            switch=float(record.switch[0]),
+            attention=record.attention[0].copy(),
+            copy_distribution=record.copy_distribution[0].copy(),
+        )
+        for token, token_id, record in zip(tokens, hypothesis.token_ids, records)
+    )
     return GenerationTrace(
         source_tokens=encoded.src_tokens,
-        generated_tokens=tuple(step.token for step in steps),
-        steps=tuple(steps),
+        generated_tokens=tuple(tokens),
+        steps=steps,
     )
 
 

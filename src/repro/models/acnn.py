@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.data.batching import Batch
 from repro.data.vocabulary import PAD_ID, UNK_ID
-from repro.models.base import DecoderStepState, EncoderContext
+from repro.models.base import DecoderStepState, DecodeStep, EncoderContext
 from repro.models.config import ModelConfig
 from repro.models.du_attention import DuAttentionModel
 from repro.nn import Linear, Parameter, sequence_nll
@@ -75,8 +75,6 @@ class ACNN(DuAttentionModel):
         coverage_loss_weight: float = 1.0,
         use_answer_features: bool = False,
         answer_feature_dim: int = 8,
-        scheduled_sampling_rate: float = 0.0,
-        scheduled_sampling_seed: int = 0,
     ) -> None:
         super().__init__(
             config,
@@ -91,16 +89,10 @@ class ACNN(DuAttentionModel):
             raise ValueError(f"fixed_switch must be in [0, 1], got {fixed_switch}")
         if coverage_loss_weight < 0:
             raise ValueError(f"coverage_loss_weight must be >= 0, got {coverage_loss_weight}")
-        if not 0.0 <= scheduled_sampling_rate < 1.0:
-            raise ValueError(
-                f"scheduled_sampling_rate must be in [0, 1), got {scheduled_sampling_rate}"
-            )
         self.switch_mode = switch_mode
         self.fixed_switch = fixed_switch
         self.use_coverage = use_coverage
         self.coverage_loss_weight = coverage_loss_weight
-        self.scheduled_sampling_rate = scheduled_sampling_rate
-        self._sampling_rng = np.random.default_rng(scheduled_sampling_seed)
         self.collect_gate_stats = False
         """When true (set by the trainer/evaluator while telemetry is
         active), each forward pass summarizes the Eq. 2/4 switch gate into
@@ -196,26 +188,6 @@ class ACNN(DuAttentionModel):
         np.add.at(extended, (rows, src_ext), z * p_cop)
         return extended
 
-    def sampled_feedback(
-        self,
-        p_att: np.ndarray,
-        p_cop: np.ndarray,
-        z: np.ndarray,
-        src_ext: np.ndarray,
-        max_oov: int,
-    ) -> np.ndarray:
-        """Greedy feedback tokens for scheduled sampling.
-
-        The fed-back pick must come from the full Eq. 2 mixture — the same
-        distribution decoding samples from — not from the attention softmax
-        alone, or a gate that favors copying trains on feedback the model
-        would never produce at inference. Matching the inference contract
-        (``step_log_probs`` ids beyond the decoder vocabulary feed back as
-        UNK), copied OOV winners map to UNK.
-        """
-        picks = self._extended_mixture(p_att, p_cop, z, src_ext, max_oov).argmax(axis=1)
-        return self.map_to_decoder_vocab(picks, self.decoder_vocab_size, UNK_ID)
-
     def switch(self, d_k: Tensor, c_k: Tensor, y_prev_embedded: Tensor) -> Tensor:
         """Eq. 4: the adaptive copy/generate gate ``z_k`` in (0, 1).
 
@@ -251,23 +223,12 @@ class ACNN(DuAttentionModel):
             coverage = Tensor(np.zeros((batch.size, batch.src.shape[1])))
         coverage_penalty: Tensor | None = None
 
-        # Scheduled sampling (Bengio et al. 2015, extension): with some
-        # probability feed the model's previous prediction instead of the
-        # gold token, shrinking the train/inference exposure gap.
-        sampling = self.training and self.scheduled_sampling_rate > 0.0
-        prev_predictions: np.ndarray | None = None
-
         gate_z_sum = gate_entropy_sum = gate_copy_sum = 0.0
         gate_tokens = 0
 
         step_probs: list[Tensor] = []
         for t in range(time_steps):
-            if sampling and t > 0:
-                use_model = self._sampling_rng.random(batch.size) < self.scheduled_sampling_rate
-                input_ids = np.where(use_model, prev_predictions, batch.tgt_input[:, t])
-                x_t = self.decoder_embedding(input_ids)
-            else:
-                x_t = embedded[:, t, :]
+            x_t = embedded[:, t, :]
             d_k, c_k, attn, logits, states = self._decode_step(
                 x_t, states, context.encoder_states, context.src_pad_mask, coverage=coverage
             )
@@ -291,14 +252,6 @@ class ACNN(DuAttentionModel):
                 gate_entropy_sum += float(np_bernoulli_entropy(z_values).sum())
                 gate_copy_sum += float((z_values > 0.5).sum())
                 gate_tokens += int(mask.sum())
-
-            if sampling:
-                # The next step may feed this step's greedy pick from the
-                # Eq. 2 mixture (OOV copies feed back as UNK, matching the
-                # inference contract).
-                prev_predictions = self.sampled_feedback(
-                    p_att.data, p_cop.data, z.data, context.src_ext, context.max_oov
-                )
 
             if coverage is not None:
                 # Coverage loss (See et al. 2017): penalize re-attending.
@@ -332,13 +285,15 @@ class ACNN(DuAttentionModel):
             state.coverage = np.zeros((batch, src_len))
         return state
 
-    def step_log_probs(
+    def decode_step(
         self,
         prev_tokens: np.ndarray,
         state: DecoderStepState,
         context: EncoderContext,
         row_indices: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, DecoderStepState]:
+    ) -> DecodeStep:
+        """One step of Eqs. 2-4: attention, ``P_cop``, ``z_k`` and their
+        Eq. 2 mixture over the extended vocabulary."""
         encoder_states, src_pad_mask, src_ext = self._context_rows(context, row_indices)
         token_ids = self.map_to_decoder_vocab(prev_tokens, self.decoder_vocab_size, UNK_ID)
         embedded = self.decoder_embedding(token_ids)
@@ -362,12 +317,16 @@ class ACNN(DuAttentionModel):
         new_coverage = (
             state.coverage + attn.data if state.coverage is not None else None
         )
-        return (
+        return DecodeStep(
             # Eq. 2 probabilities can be exactly 0 (un-copyable extended
             # ids); the smoothed log matches the historical additive guard
             # bit-for-bit so beam scores are unchanged.
             np_smoothed_log(extended, PROBABILITY_FLOOR),
             DecoderStepState(new_states, coverage=new_coverage),
+            attention=attn.data,
+            copy_distribution=p_cop,
+            switch=z,
+            probs=extended,
         )
 
     def pop_decode_gate_stats(self) -> dict | None:

@@ -5,12 +5,16 @@ implement :class:`QuestionGenerator`:
 
 - :meth:`loss` — teacher-forced training loss on a :class:`Batch`;
 - :meth:`encode` — run the encoder, producing an :class:`EncoderContext`;
-- :meth:`initial_decoder_state` / :meth:`step_log_probs` — the incremental
-  decoding interface the greedy/beam decoders drive.
+- :meth:`initial_decoder_state` / :meth:`decode_step` — the incremental
+  decoding interface: one decoder step per family, returning a
+  :class:`DecodeStep` record (log-probs, next state and the step's
+  internals);
+- :meth:`step_log_probs` — the ``(log_probs, state)`` view of that record,
+  which the greedy/beam decoders drive.
 
-``step_log_probs`` returns log-probabilities over the *extended* vocabulary
-(decoder vocab followed by per-example source OOV slots); models without a
-copy path simply return zero-probability for the OOV slots.
+The log-probabilities cover the *extended* vocabulary (decoder vocab
+followed by per-example source OOV slots); models without a copy path
+stamp the OOV slots with :data:`OOV_LOG_FLOOR`.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.tensor.core import Tensor
 
 __all__ = [
     "EncoderContext",
+    "DecodeStep",
     "DecoderStepState",
     "NonFiniteLogits",
     "QuestionGenerator",
@@ -130,6 +135,26 @@ class DecoderStepState:
         return DecoderStepState(picked, coverage=coverage)
 
 
+@dataclass(slots=True)
+class DecodeStep:
+    """One decoder step (:meth:`QuestionGenerator.decode_step`): what the
+    decoders rank, the state to carry on, and the step's internals."""
+
+    log_probs: np.ndarray
+    """(B, decoder_vocab + max_oov) extended-vocabulary log-probabilities."""
+    state: DecoderStepState
+    attention: np.ndarray | None = None
+    """(B, S) attention weights over source positions (None without
+    attention)."""
+    copy_distribution: np.ndarray | None = None
+    """(B, S) Eq. 3 copy probabilities over source positions (ACNN only)."""
+    switch: np.ndarray | None = None
+    """(B,) Eq. 4 gate ``z_k`` (ACNN only)."""
+    probs: np.ndarray | None = None
+    """(B, decoder_vocab + max_oov) Eq. 2 probabilities that ``log_probs``
+    smooths (ACNN only)."""
+
+
 class QuestionGenerator(Module):
     """Abstract base for every model in the comparison."""
 
@@ -157,14 +182,14 @@ class QuestionGenerator(Module):
         """The decoder state before the first step (bridged encoder states)."""
         return DecoderStepState(list(context.initial_states))
 
-    def step_log_probs(
+    def decode_step(
         self,
         prev_tokens: np.ndarray,
         state: DecoderStepState,
         context: EncoderContext,
         row_indices: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, DecoderStepState]:
-        """One decoding step.
+    ) -> DecodeStep:
+        """One decoding step, with its internals.
 
         Parameters
         ----------
@@ -181,13 +206,20 @@ class QuestionGenerator(Module):
             per-example beam expands one encoded example into several
             hypothesis rows instead, ``row_indices`` maps each row of
             ``prev_tokens`` onto the context's batch row.
-
-        Returns
-        -------
-        log_probs, new_state:
-            ``log_probs`` is ``(B, decoder_vocab + max_oov)``.
         """
         raise NotImplementedError
+
+    def step_log_probs(
+        self,
+        prev_tokens: np.ndarray,
+        state: DecoderStepState,
+        context: EncoderContext,
+        row_indices: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, DecoderStepState]:
+        """:meth:`decode_step` as the ``(log_probs, new_state)`` pair the
+        decoders drive (and the serving fault injector intercepts)."""
+        step = self.decode_step(prev_tokens, state, context, row_indices)
+        return step.log_probs, step.state
 
     def extended_vocab_size(self, context: EncoderContext) -> int:
         """Decoder vocabulary plus this batch's per-example OOV slots."""
@@ -214,6 +246,16 @@ class QuestionGenerator(Module):
             return context.encoder_states, context.src_pad_mask, context.src_ext
         states = Tensor(context.encoder_states.data[row_indices])
         return states, context.src_pad_mask[row_indices], context.src_ext[row_indices]
+
+    @staticmethod
+    def floor_oov_slots(log_probs: np.ndarray, context: EncoderContext) -> np.ndarray:
+        """Append the batch's OOV slots to decoder-vocab log-probs of a model
+        without a copy path: unreachable, so stamped with the floor that
+        decoders treat as non-viable, never as selectable mass."""
+        if not context.max_oov:
+            return log_probs
+        pad = np.full((log_probs.shape[0], context.max_oov), OOV_LOG_FLOOR)
+        return np.concatenate([log_probs, pad], axis=1)
 
     @staticmethod
     def map_to_decoder_vocab(prev_tokens: np.ndarray, vocab_size: int, unk_id: int) -> np.ndarray:

@@ -12,16 +12,11 @@ import numpy as np
 
 from repro.data.batching import Batch
 from repro.data.vocabulary import PAD_ID, UNK_ID
-from repro.models.base import (
-    OOV_LOG_FLOOR,
-    DecoderStepState,
-    EncoderContext,
-    QuestionGenerator,
-)
+from repro.models.base import DecoderStepState, DecodeStep, EncoderContext, QuestionGenerator
 from repro.models.config import ModelConfig
 from repro.nn import LSTM, Dropout, Embedding, Linear, cross_entropy
 from repro.tensor.core import Tensor
-from repro.tensor.ops import log_softmax, softmax
+from repro.tensor.ops import log_softmax
 
 __all__ = ["Seq2SeqBaseline"]
 
@@ -116,25 +111,19 @@ class Seq2SeqBaseline(QuestionGenerator):
     # ------------------------------------------------------------------
     # Decoding
     # ------------------------------------------------------------------
-    def step_log_probs(
+    def decode_step(
         self,
         prev_tokens: np.ndarray,
         state: DecoderStepState,
         context: EncoderContext,
         row_indices: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, DecoderStepState]:
+    ) -> DecodeStep:
         token_ids = self.map_to_decoder_vocab(prev_tokens, self.decoder_vocab_size, UNK_ID)
         embedded = self.decoder_embedding(token_ids)
         hidden, new_states = self.decoder.step(embedded, state.lstm_states)
         logits = self.output_projection(hidden)
         log_probs = log_softmax(logits, axis=-1).data
-
-        if context.max_oov:
-            # No copy path: OOV slots are unreachable (decoders treat the
-            # floor as non-viable, never as selectable mass).
-            pad = np.full((log_probs.shape[0], context.max_oov), OOV_LOG_FLOOR)
-            log_probs = np.concatenate([log_probs, pad], axis=1)
-        return log_probs, DecoderStepState(new_states)
+        return DecodeStep(self.floor_oov_slots(log_probs, context), DecoderStepState(new_states))
 
     def describe(self) -> str:
         cfg = self.config

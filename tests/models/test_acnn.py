@@ -183,112 +183,6 @@ def test_trained_acnn_copies_entities(tiny_config, tiny_vocabs, tiny_batch, tiny
     assert copied_any, "overfit ACNN never copied an out-of-vocabulary entity"
 
 
-def test_scheduled_sampling_validation(tiny_config, tiny_vocabs):
-    with pytest.raises(ValueError):
-        _acnn(tiny_config, tiny_vocabs, scheduled_sampling_rate=1.0)
-
-
-def test_scheduled_sampling_loss_trains(tiny_config, tiny_vocabs, tiny_batch):
-    from repro.optim import SGD
-
-    model = _acnn(tiny_config, tiny_vocabs, scheduled_sampling_rate=0.3)
-    optimizer = SGD(model.parameters(), lr=0.5)
-    first = model.loss(tiny_batch)
-    assert np.isfinite(first.item())
-    first.backward()
-    optimizer.step()
-    model.zero_grad()
-    assert np.isfinite(model.loss(tiny_batch).item())
-
-
-def test_scheduled_sampling_disabled_in_eval(tiny_config, tiny_vocabs, tiny_batch):
-    """In eval mode the loss must be the deterministic teacher-forced one."""
-    model = _acnn(tiny_config, tiny_vocabs, scheduled_sampling_rate=0.5)
-    model.eval()
-    with no_grad():
-        a = model.loss(tiny_batch).item()
-        b = model.loss(tiny_batch).item()
-    assert a == b
-
-
-def test_scheduled_sampling_zero_matches_teacher_forcing(tiny_config, tiny_vocabs, tiny_batch):
-    plain = _acnn(tiny_config, tiny_vocabs)
-    sampled = _acnn(tiny_config, tiny_vocabs, scheduled_sampling_rate=0.0)
-    sampled.load_state_dict(plain.state_dict())
-    plain.eval()
-    sampled.eval()
-    with no_grad():
-        assert np.isclose(plain.loss(tiny_batch).item(), sampled.loss(tiny_batch).item())
-
-
-# ---------------------------------------------------------------------------
-# Scheduled-sampling feedback: must come from the Eq. 2 mixture, not from
-# the attention softmax alone
-# ---------------------------------------------------------------------------
-def test_sampled_feedback_follows_copy_gate_to_unk(tiny_config, tiny_vocabs):
-    """When the gate favors copying an OOV source word, the fed-back token
-    is UNK (the inference contract), not the attention argmax."""
-    from repro.data.vocabulary import UNK_ID
-
-    model = _acnn(tiny_config, tiny_vocabs)
-    vocab_size = model.decoder_vocab_size
-    generated = 5  # some in-vocab word the attention path prefers
-    p_att = np.zeros((1, vocab_size))
-    p_att[0, generated] = 1.0
-    p_cop = np.array([[0.9, 0.1]])  # copy mass on source position 0
-    src_ext = np.array([[vocab_size, vocab_size + 1]])  # both positions OOV
-    z = np.array([0.8])  # gate favors copying
-
-    feedback = model.sampled_feedback(p_att, p_cop, z, src_ext, max_oov=2)
-    assert feedback[0] == UNK_ID
-    assert feedback[0] != p_att.argmax(axis=1)[0]
-
-
-def test_sampled_feedback_follows_copy_gate_to_in_vocab_word(tiny_config, tiny_vocabs):
-    """A copied in-vocab word wins over the attention argmax when z is high
-    and feeds back as itself."""
-    model = _acnn(tiny_config, tiny_vocabs)
-    vocab_size = model.decoder_vocab_size
-    generated, copied = 5, 7
-    p_att = np.zeros((1, vocab_size))
-    p_att[0, generated] = 1.0
-    p_cop = np.array([[1.0]])
-    src_ext = np.array([[copied]])  # source word is in the decoder vocab
-    z = np.array([0.8])
-
-    feedback = model.sampled_feedback(p_att, p_cop, z, src_ext, max_oov=0)
-    assert feedback[0] == copied
-
-
-def test_sampled_feedback_respects_generation_when_gate_closed(tiny_config, tiny_vocabs):
-    model = _acnn(tiny_config, tiny_vocabs)
-    vocab_size = model.decoder_vocab_size
-    generated = 5
-    p_att = np.zeros((1, vocab_size))
-    p_att[0, generated] = 1.0
-    p_cop = np.array([[1.0]])
-    src_ext = np.array([[vocab_size]])
-    z = np.array([0.1])  # gate favors generation
-
-    feedback = model.sampled_feedback(p_att, p_cop, z, src_ext, max_oov=1)
-    assert feedback[0] == generated
-
-
-def test_scheduled_sampling_feedback_stays_in_decoder_vocab(tiny_config, tiny_vocabs, tiny_batch):
-    """End to end: a copy-heavy gate with near-certain sampling must train
-    without feeding extended ids into the decoder embedding."""
-    model = _acnn(
-        tiny_config,
-        tiny_vocabs,
-        switch_mode="fixed",
-        fixed_switch=1.0,
-        scheduled_sampling_rate=0.99,
-    )
-    model.train()
-    loss = model.loss(tiny_batch)
-    assert np.isfinite(loss.item())
-
-
 # ----------------------------------------------------------------------
 # Numerical hardening of the Eq. 2/4 mixture (saturated-gate regression)
 # ----------------------------------------------------------------------

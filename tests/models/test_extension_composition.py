@@ -1,5 +1,5 @@
-"""The ACNN extensions must compose: coverage + answer tags + scheduled
-sampling together, through training and beam decoding."""
+"""The ACNN extensions must compose: coverage + answer tags together,
+through training and beam decoding."""
 
 import numpy as np
 
@@ -18,7 +18,6 @@ def _full_acnn(tiny_config, tiny_vocabs):
         use_coverage=True,
         coverage_loss_weight=0.5,
         use_answer_features=True,
-        scheduled_sampling_rate=0.2,
     )
 
 
