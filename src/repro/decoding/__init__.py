@@ -6,7 +6,6 @@ from repro.decoding.greedy import greedy_decode
 from repro.decoding.hypothesis import Hypothesis, extended_ids_to_tokens
 from repro.decoding.nbest import beam_decode_nbest
 from repro.decoding.postprocess import greedy_decode_with_attention, replace_unknowns
-from repro.decoding.sampling import sample_decode
 
 __all__ = [
     "batched_beam_decode",
@@ -18,5 +17,4 @@ __all__ = [
     "beam_decode_nbest",
     "greedy_decode_with_attention",
     "replace_unknowns",
-    "sample_decode",
 ]

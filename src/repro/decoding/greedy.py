@@ -59,7 +59,7 @@ def decode_tokens(
     deadline=None,
     step_fn: Callable | None = None,
 ) -> list[Hypothesis]:
-    """The token loop greedy and sampled decoding share.
+    """The greedy token loop, with the pick rule as a parameter.
 
     ``pick`` maps one step's ``(B, V_ext)`` log-probs (PAD and BOS masked to
     ``-inf``) to the next token of every row; finished rows keep feeding

@@ -26,6 +26,11 @@ ACNN extends the Du et al. attention model with Eqs. 2-4 of Section 3.2:
 
 For ablations, ``switch_mode`` can freeze the gate: ``"adaptive"`` (paper),
 ``"fixed"`` with a constant ``z`` (0 = pure attention, 1 = pure copy).
+
+Eqs. 3 and 4 each have a tape form (:meth:`ACNN.copy_distribution`,
+:meth:`ACNN.switch`) for the teacher-forced loss and, next to it, an array
+form running the same numpy operations for inference decode steps
+(:meth:`ACNN.decode_step`), so both give the same bytes.
 """
 
 from __future__ import annotations
@@ -39,10 +44,16 @@ from repro.models.config import ModelConfig
 from repro.models.du_attention import DuAttentionModel
 from repro.nn import Linear, Parameter, sequence_nll
 from repro.nn import init as nn_init
-from repro.nn.attention import live_width, pad_masked_scores
+from repro.nn.attention import live_width, pad_masked_scores, pad_masked_scores_array
 from repro.nn.loss import PROBABILITY_FLOOR
 from repro.nn.functional import fused_pointer_probs
-from repro.nn.numerics import np_bernoulli_entropy, np_smoothed_log, saturating_sigmoid
+from repro.nn.numerics import (
+    np_bernoulli_entropy,
+    np_saturating_sigmoid,
+    np_smoothed_log,
+    np_stable_softmax,
+    saturating_sigmoid,
+)
 from repro.tensor.core import Tensor
 from repro.tensor.fusion import is_lazy_enabled
 from repro.tensor.ops import (
@@ -163,6 +174,26 @@ class ACNN(DuAttentionModel):
         scores = masked_fill(scores, src_pad_mask, _MASK_VALUE)
         return softmax(pad_masked_scores(scores, width), axis=1)
 
+    def copy_distribution_array(
+        self,
+        d_k: np.ndarray,
+        c_k: np.ndarray,
+        encoder_states: np.ndarray,
+        src_pad_mask: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`copy_distribution` on arrays, off the tape (same numpy
+        operations)."""
+        projected = self.copy_projection.forward_array(np.concatenate([d_k, c_k], axis=1))
+        width = encoder_states.shape[1]
+        live = live_width(src_pad_mask, width)
+        if live < width:
+            encoder_states = encoder_states[:, :live]
+            src_pad_mask = src_pad_mask[:, :live]
+        scores = (np.expand_dims(projected, 1) * encoder_states).sum(axis=2)  # (B, live)
+        scores = scores + self.copy_score_bias.data
+        scores = np.where(src_pad_mask, _MASK_VALUE, scores)
+        return np_stable_softmax(pad_masked_scores_array(scores, width), axis=1)
+
     def _extended_mixture(
         self,
         p_att: np.ndarray,
@@ -207,6 +238,20 @@ class ACNN(DuAttentionModel):
             + self.switch_bias
         )
         return saturating_sigmoid(logit)  # (B,), in [eps, 1 - eps]
+
+    def switch_array(
+        self, d_k: np.ndarray, c_k: np.ndarray, y_prev_embedded: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`switch` on arrays, off the tape (same numpy operations)."""
+        if self.switch_mode == "fixed":
+            return np.full((d_k.shape[0],), self.fixed_switch)
+        logit = (
+            d_k @ self.switch_d.data
+            + c_k @ self.switch_c.data
+            + y_prev_embedded @ self.switch_y.data
+            + self.switch_bias.data
+        )
+        return np_saturating_sigmoid(logit)
 
     # ------------------------------------------------------------------
     # Training (Eq. 1/2: maximize the mixture likelihood of gold tokens)
@@ -294,16 +339,16 @@ class ACNN(DuAttentionModel):
     ) -> DecodeStep:
         """One step of Eqs. 2-4: attention, ``P_cop``, ``z_k`` and their
         Eq. 2 mixture over the extended vocabulary."""
+        self._require_inference()
         encoder_states, src_pad_mask, src_ext = self._context_rows(context, row_indices)
         token_ids = self.map_to_decoder_vocab(prev_tokens, self.decoder_vocab_size, UNK_ID)
-        embedded = self.decoder_embedding(token_ids)
-        coverage = Tensor(state.coverage) if state.coverage is not None else None
-        d_k, c_k, attn, logits, new_states = self._decode_step(
-            embedded, state.lstm_states, encoder_states, src_pad_mask, coverage=coverage
+        embedded = self.decoder_embedding.forward_array(token_ids)
+        d_k, c_k, attn, logits, new_states = self._decode_step_array(
+            embedded, state.lstm_states, encoder_states, src_pad_mask, coverage=state.coverage
         )
-        p_att = softmax(logits, axis=-1).data  # (B, V)
-        p_cop = self.copy_distribution(d_k, c_k, encoder_states, src_pad_mask).data  # (B, S)
-        z = self.switch(d_k, c_k, embedded).data  # (B,)
+        p_att = np_stable_softmax(logits, axis=-1)  # (B, V)
+        p_cop = self.copy_distribution_array(d_k, c_k, encoder_states, src_pad_mask)  # (B, S)
+        z = self.switch_array(d_k, c_k, embedded)  # (B,)
 
         if self.collect_gate_stats:
             accum = self._decode_gate_accum or {"z": 0.0, "entropy": 0.0, "copy": 0.0, "tokens": 0}
@@ -314,16 +359,14 @@ class ACNN(DuAttentionModel):
             self._decode_gate_accum = accum
 
         extended = self._extended_mixture(p_att, p_cop, z, src_ext, context.max_oov)
-        new_coverage = (
-            state.coverage + attn.data if state.coverage is not None else None
-        )
+        new_coverage = state.coverage + attn if state.coverage is not None else None
         return DecodeStep(
             # Eq. 2 probabilities can be exactly 0 (un-copyable extended
             # ids); the smoothed log matches the historical additive guard
             # bit-for-bit so beam scores are unchanged.
             np_smoothed_log(extended, PROBABILITY_FLOOR),
             DecoderStepState(new_states, coverage=new_coverage),
-            attention=attn.data,
+            attention=attn,
             copy_distribution=p_cop,
             switch=z,
             probs=extended,

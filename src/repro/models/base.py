@@ -8,7 +8,8 @@ implement :class:`QuestionGenerator`:
 - :meth:`initial_decoder_state` / :meth:`decode_step` — the incremental
   decoding interface: one decoder step per family, returning a
   :class:`DecodeStep` record (log-probs, next state and the step's
-  internals);
+  internals). Decode steps are inference-only and run on plain arrays;
+  the training loss runs the same step on the autodiff tape;
 - :meth:`step_log_probs` — the ``(log_probs, state)`` view of that record,
   which the greedy/beam decoders drive.
 
@@ -32,6 +33,7 @@ __all__ = [
     "EncoderContext",
     "DecodeStep",
     "DecoderStepState",
+    "DecodeInTrainingMode",
     "NonFiniteLogits",
     "QuestionGenerator",
     "OOV_LOG_FLOOR",
@@ -65,6 +67,19 @@ class NonFiniteLogits(RuntimeError):
         self.where = where
         self.step = step
         self.rows = rows
+
+
+class DecodeInTrainingMode(RuntimeError):
+    """:meth:`QuestionGenerator.decode_step` was called on a model in
+    training mode.
+
+    Decode steps are inference-only: they run without dropout and off the
+    tape. Call ``model.eval()`` first, as every decoder does.
+    """
+
+    def __init__(self, model: str) -> None:
+        super().__init__(f"{model}.decode_step is inference-only; call model.eval() first")
+        self.model = model
 
 
 @dataclass
@@ -191,6 +206,9 @@ class QuestionGenerator(Module):
     ) -> DecodeStep:
         """One decoding step, with its internals.
 
+        Inference-only: runs on the parameters' arrays, off the tape, and
+        raises :class:`DecodeInTrainingMode` on a model in training mode.
+
         Parameters
         ----------
         prev_tokens:
@@ -232,9 +250,14 @@ class QuestionGenerator(Module):
         """Human-readable component inventory of the architecture."""
         raise NotImplementedError
 
+    def _require_inference(self) -> None:
+        """Refuse a decode step in training mode (see :meth:`decode_step`)."""
+        if self.training:
+            raise DecodeInTrainingMode(type(self).__name__)
+
     @staticmethod
     def _context_rows(context: EncoderContext, row_indices: np.ndarray | None):
-        """Encoder tensors for the requested rows.
+        """Encoder arrays for the requested rows.
 
         ``row_indices=None`` is the batched contract: the caller guarantees
         its step rows already align 1:1 with the context rows (either a
@@ -242,10 +265,10 @@ class QuestionGenerator(Module):
         gather happens. A non-None ``row_indices`` is the per-example beam's
         per-step re-gather.
         """
+        states = context.encoder_states.data
         if row_indices is None:
-            return context.encoder_states, context.src_pad_mask, context.src_ext
-        states = Tensor(context.encoder_states.data[row_indices])
-        return states, context.src_pad_mask[row_indices], context.src_ext[row_indices]
+            return states, context.src_pad_mask, context.src_ext
+        return states[row_indices], context.src_pad_mask[row_indices], context.src_ext[row_indices]
 
     @staticmethod
     def floor_oov_slots(log_probs: np.ndarray, context: EncoderContext) -> np.ndarray:

@@ -24,6 +24,7 @@ from repro.models.base import DecoderStepState, DecodeStep, EncoderContext, Ques
 from repro.models.config import ModelConfig
 from repro.nn import BidirectionalLSTM, Dropout, Embedding, GlobalAttention, Linear, LSTM
 from repro.nn.lstm import State
+from repro.nn.numerics import np_log_softmax
 from repro.tensor.core import Tensor
 from repro.tensor.ops import concat, gather_rows, log_softmax, tanh
 
@@ -141,6 +142,24 @@ class DuAttentionModel(QuestionGenerator):
         logits = self.output_projection(self.output_dropout(readout))
         return d_k, c_k, attn_weights, logits, new_states
 
+    def _decode_step_array(
+        self,
+        x_embedded: np.ndarray,
+        states: list[State],
+        encoder_states: np.ndarray,
+        src_pad_mask: np.ndarray,
+        coverage: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[State]]:
+        """:meth:`_decode_step` in inference mode, on arrays (no dropout, no
+        tape), with the same return value."""
+        d_k, new_states = self.decoder.step_array(x_embedded, states)
+        c_k, attn_weights = self.attention.forward_array(
+            d_k, encoder_states, pad_mask=src_pad_mask, coverage=coverage
+        )
+        readout = np.tanh(self.readout.forward_array(np.concatenate([d_k, c_k], axis=1)))
+        logits = self.output_projection.forward_array(readout)
+        return d_k, c_k, attn_weights, logits, new_states
+
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
@@ -172,17 +191,17 @@ class DuAttentionModel(QuestionGenerator):
         context: EncoderContext,
         row_indices: np.ndarray | None = None,
     ) -> DecodeStep:
+        self._require_inference()
         encoder_states, src_pad_mask, _ = self._context_rows(context, row_indices)
         token_ids = self.map_to_decoder_vocab(prev_tokens, self.decoder_vocab_size, UNK_ID)
-        embedded = self.decoder_embedding(token_ids)
-        _, _, attn, logits, new_states = self._decode_step(
+        embedded = self.decoder_embedding.forward_array(token_ids)
+        _, _, attn, logits, new_states = self._decode_step_array(
             embedded, state.lstm_states, encoder_states, src_pad_mask
         )
-        log_probs = log_softmax(logits, axis=-1).data
         return DecodeStep(
-            self.floor_oov_slots(log_probs, context),
+            self.floor_oov_slots(np_log_softmax(logits, axis=-1), context),
             DecoderStepState(new_states),
-            attention=attn.data,
+            attention=attn,
         )
 
     def describe(self) -> str:

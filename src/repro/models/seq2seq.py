@@ -15,8 +15,8 @@ from repro.data.vocabulary import PAD_ID, UNK_ID
 from repro.models.base import DecoderStepState, DecodeStep, EncoderContext, QuestionGenerator
 from repro.models.config import ModelConfig
 from repro.nn import LSTM, Dropout, Embedding, Linear, cross_entropy
+from repro.nn.numerics import np_log_softmax
 from repro.tensor.core import Tensor
-from repro.tensor.ops import log_softmax
 
 __all__ = ["Seq2SeqBaseline"]
 
@@ -118,11 +118,11 @@ class Seq2SeqBaseline(QuestionGenerator):
         context: EncoderContext,
         row_indices: np.ndarray | None = None,
     ) -> DecodeStep:
+        self._require_inference()
         token_ids = self.map_to_decoder_vocab(prev_tokens, self.decoder_vocab_size, UNK_ID)
-        embedded = self.decoder_embedding(token_ids)
-        hidden, new_states = self.decoder.step(embedded, state.lstm_states)
-        logits = self.output_projection(hidden)
-        log_probs = log_softmax(logits, axis=-1).data
+        embedded = self.decoder_embedding.forward_array(token_ids)
+        hidden, new_states = self.decoder.step_array(embedded, state.lstm_states)
+        log_probs = np_log_softmax(self.output_projection.forward_array(hidden), axis=-1)
         return DecodeStep(self.floor_oov_slots(log_probs, context), DecoderStepState(new_states))
 
     def describe(self) -> str:

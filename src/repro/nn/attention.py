@@ -23,6 +23,10 @@ byte the full-width computation:
 - the softmax denominator sums a contiguous axis pairwise, grouping its
   terms by the axis length, so it would round differently at a narrower
   width. That is why the softmax keeps the full width.
+
+:meth:`GlobalAttention.forward` records the tape for the training loss;
+:meth:`GlobalAttention.forward_array` runs the same numpy operations on
+plain arrays for inference decode steps, so both give the same bytes.
 """
 
 from __future__ import annotations
@@ -31,11 +35,12 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
+from repro.nn.numerics import np_stable_softmax
 from repro.tensor.core import Tensor
 from repro.tensor.fusion import is_lazy_enabled
 from repro.tensor.ops import concat, expand_dims, masked_fill, softmax, tanh
 
-__all__ = ["GlobalAttention", "live_width", "pad_masked_scores"]
+__all__ = ["GlobalAttention", "live_width", "pad_masked_scores", "pad_masked_scores_array"]
 
 _MASK_VALUE = -1e9
 
@@ -60,6 +65,14 @@ def pad_masked_scores(scores: Tensor, width: int) -> Tensor:
     if live == width:
         return scores
     return concat([scores, Tensor(np.full((rows, width - live), _MASK_VALUE))], axis=1)
+
+
+def pad_masked_scores_array(scores: np.ndarray, width: int) -> np.ndarray:
+    """:func:`pad_masked_scores` on arrays."""
+    rows, live = scores.shape
+    if live == width:
+        return scores
+    return np.concatenate([scores, np.full((rows, width - live), _MASK_VALUE)], axis=1)
 
 
 class GlobalAttention(Module):
@@ -161,4 +174,34 @@ class GlobalAttention(Module):
         weights = softmax(pad_masked_scores(scores, width), axis=1)
         live_weights = weights if live == width else weights[:, :live]
         context = (expand_dims(live_weights, 2) * encoder_states).sum(axis=1)
+        return context, weights
+
+    def forward_array(
+        self,
+        decoder_state: np.ndarray,
+        encoder_states: np.ndarray,
+        pad_mask: np.ndarray | None = None,
+        coverage: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`forward` on arrays, off the tape: the eager chain's numpy
+        operations in the same order (live prefix, coverage term, softmax
+        at the full width), so the context and weights match its bytes."""
+        width = encoder_states.shape[1]
+        live = live_width(pad_mask, width)
+        if live < width:
+            encoder_states = encoder_states[:, :live]
+            pad_mask = pad_mask[:, :live]
+            if coverage is not None:
+                coverage = coverage[:, :live]
+        projected = decoder_state @ self.weight.data
+        scores = np.tanh((np.expand_dims(projected, 1) * encoder_states).sum(axis=2))
+        if coverage is not None:
+            if self.coverage_weight is None:
+                raise ValueError("attention layer was built without use_coverage=True")
+            scores = scores + coverage * self.coverage_weight.data
+        if pad_mask is not None:
+            scores = np.where(pad_mask, _MASK_VALUE, scores)
+        weights = np_stable_softmax(pad_masked_scores_array(scores, width), axis=1)
+        live_weights = weights if live == width else weights[:, :live]
+        context = (np.expand_dims(live_weights, 2) * encoder_states).sum(axis=1)
         return context, weights

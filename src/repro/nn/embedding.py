@@ -50,13 +50,20 @@ class Embedding(Module):
             self.weight.data[padding_idx] = 0.0
 
     def forward(self, indices: np.ndarray) -> Tensor:
+        return embedding_lookup(self.weight, self._checked(indices))
+
+    def forward_array(self, indices: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on arrays, off the tape: the gathered rows."""
+        return self.weight.data[self._checked(indices)]
+
+    def _checked(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices)
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_embeddings):
             raise IndexError(
                 f"token id out of range [0, {self.num_embeddings}): "
                 f"min={indices.min()}, max={indices.max()}"
             )
-        return embedding_lookup(self.weight, indices)
+        return indices
 
     def load_pretrained(self, matrix: np.ndarray) -> None:
         """Overwrite the table with pre-trained vectors (GloVe-style init)."""

@@ -11,8 +11,10 @@ Two LSTM kernels share one gate forward (:func:`_gates_forward`, a single
 sigmoid call over all ``4H`` pre-activations) and one gate backward
 (:func:`_gates_backward`):
 
-- :func:`lstm_cell_step` — one step, output ``[h_new ; c_new]`` (used for
-  single-step decoding).
+- :func:`lstm_cell_step` — one step, output ``[h_new ; c_new]`` (the
+  teacher-forced decoder of the training loss). Its forward,
+  :func:`lstm_cell_forward`, is also the cell of the array decode step
+  (:meth:`repro.nn.lstm.LSTM.step_array`).
 - :func:`lstm_sequence` — one layer's whole recurrence over a sequence
   whose input projections ``x @ W_ih^T + b`` were batched into one matmul
   outside; output ``[outputs ; h_T ; c_T]`` along the time axis, with a
@@ -45,6 +47,7 @@ from repro.nn.numerics import np_fast_sigmoid, np_stable_softmax
 from repro.tensor.core import Tensor, is_grad_enabled
 
 __all__ = [
+    "lstm_cell_forward",
     "lstm_cell_step",
     "lstm_sequence",
     "fused_attention",
@@ -93,6 +96,19 @@ def _gates_backward(
     return d_gates, d_c * f_gate
 
 
+def lstm_cell_forward(
+    x: np.ndarray,
+    h_prev: np.ndarray,
+    c_prev: np.ndarray,
+    weight_ih: np.ndarray,
+    weight_hh: np.ndarray,
+    bias: np.ndarray,
+) -> tuple[np.ndarray, _GateCache]:
+    """One LSTM step on arrays: ``x @ W_ih^T + h @ W_hh^T + b`` through
+    :func:`_gates_forward`. Returns ``[h_new ; c_new]`` and the gate cache."""
+    return _gates_forward(x @ weight_ih.T + h_prev @ weight_hh.T + bias, c_prev)
+
+
 def lstm_cell_step(
     x: Tensor,
     h_prev: Tensor,
@@ -117,8 +133,9 @@ def lstm_cell_step(
     h_new, c_new:
         ``(B, H)`` tensors (two views of one fused tape node).
     """
-    gates = x.data @ weight_ih.data.T + h_prev.data @ weight_hh.data.T + bias.data
-    h_c, cache = _gates_forward(gates, c_prev.data)
+    h_c, cache = lstm_cell_forward(
+        x.data, h_prev.data, c_prev.data, weight_ih.data, weight_hh.data, bias.data
+    )
     hidden = h_prev.data.shape[1]
 
     def backward(d_out: np.ndarray) -> None:

@@ -43,6 +43,13 @@ class Linear(Module):
             out = out + self.bias
         return out
 
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on arrays, off the tape (same operations)."""
+        out = x @ self.weight.data.T
+        if self.bias is not None:
+            out = out + self.bias.data
+        return out
+
     def __repr__(self) -> str:
         return (
             f"Linear(in={self.in_features}, out={self.out_features}, "

@@ -8,8 +8,9 @@ driven one step at a time.
 Over a whole sequence, each layer batches its input projections into one
 matmul and runs the recurrence inside one tape node,
 :func:`repro.nn.functional.lstm_sequence`, so the time loop builds no
-per-step graph; single decode steps use the fused cell
-:func:`repro.nn.functional.lstm_cell_step`.
+per-step graph; the training loss's single decoder steps use the fused
+cell :func:`repro.nn.functional.lstm_cell_step`, and inference decode
+steps run the same cell forward on plain arrays (:meth:`LSTM.step_array`).
 
 Padding is handled with a boolean pad mask: at padded positions the recurrent
 state is carried through unchanged, so variable-length batches give the same
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.dropout import Dropout
-from repro.nn.functional import lstm_cell_step, lstm_sequence
+from repro.nn.functional import lstm_cell_forward, lstm_cell_step, lstm_sequence
 from repro.nn.module import Module, Parameter
 from repro.tensor.core import Tensor
 from repro.tensor.ops import concat, masked_fill, sigmoid, tanh
@@ -140,6 +141,23 @@ class LSTM(Module):
             layer_input = h_new
             if self.inter_layer_dropout is not None and layer < self.num_layers - 1:
                 layer_input = self.inter_layer_dropout(layer_input)
+        return layer_input, new_states
+
+    def step_array(self, x: np.ndarray, states: Sequence[State]) -> tuple[np.ndarray, list[State]]:
+        """:meth:`step` in inference mode, on arrays: no dropout, no tape.
+
+        The same cell forward as :meth:`step`, so the bytes match; the new
+        states are wrapped as plain (unrecorded) tensors.
+        """
+        new_states: list[State] = []
+        layer_input = x
+        for cell, (h_prev, c_prev) in zip(self.cells, states):
+            h_c, _ = lstm_cell_forward(
+                layer_input, h_prev.data, c_prev.data,
+                cell.weight_ih.data, cell.weight_hh.data, cell.bias.data,
+            )
+            layer_input = h_c[:, : cell.hidden_size]
+            new_states.append((Tensor(layer_input), Tensor(h_c[:, cell.hidden_size:])))
         return layer_input, new_states
 
     def forward(

@@ -17,7 +17,11 @@ Two families:
   the raw op.
 - **Array helpers** (``np_safe_log``, ``np_smoothed_log``, ``np_safe_exp``,
   ``np_safe_div``, ``np_bernoulli_entropy``) guard plain-numpy call sites
-  (decode paths, statistics) without touching the tape.
+  (decode paths, statistics) without touching the tape. The array twins of
+  the tape's stabilized kernels (``np_stable_softmax``,
+  ``np_log_softmax``, ``np_stable_sigmoid``, ``np_saturating_sigmoid``)
+  repeat their numpy operations in order, so the decode steps that run on
+  arrays produce the tape's bytes.
 """
 
 from __future__ import annotations
@@ -42,7 +46,10 @@ __all__ = [
     "np_safe_div",
     "np_bernoulli_entropy",
     "np_fast_sigmoid",
+    "np_stable_sigmoid",
+    "np_saturating_sigmoid",
     "np_stable_softmax",
+    "np_log_softmax",
 ]
 
 TINY = 1e-12
@@ -148,6 +155,36 @@ def np_fast_sigmoid(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))  # numerics: ok — denominator >= 1; overflow saturates to the correct limit
 
 
+def np_stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Split-sign sigmoid, byte-identical to :func:`repro.tensor.ops.sigmoid`.
+
+    ``exp`` only ever sees non-positive inputs, so it cannot overflow; NaN
+    inputs take the negative branch and stay NaN.
+    """
+    out = np.empty_like(x)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))  # numerics: ok — exp of non-positive values only
+    exp_x = np.exp(x[~positive])  # numerics: ok — exp of negative values only
+    out[~positive] = exp_x / (1.0 + exp_x)  # numerics: ok — denominator > 1
+    return out
+
+
+def np_saturating_sigmoid(x: np.ndarray, eps: float = GATE_EPS) -> np.ndarray:
+    """Array twin of :func:`saturating_sigmoid`: the stable sigmoid clamped
+    to ``[eps, 1 - eps]``."""
+    return np.clip(np_stable_sigmoid(x), eps, 1.0 - eps)
+
+
+def _shift_max(scores: np.ndarray, axis: int) -> np.ndarray:
+    """The softmax max-shift, with fully ``-inf`` rows shifted by 0
+    (``repro.tensor.ops._shift_max``'s twin)."""
+    max_ = scores.max(axis=axis, keepdims=True)
+    neginf = np.isneginf(max_)
+    if neginf.any():
+        max_ = np.where(neginf, 0.0, max_)
+    return max_
+
+
 def np_stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-shifted softmax, byte-identical to :func:`repro.tensor.ops.softmax`.
 
@@ -159,11 +196,7 @@ def np_stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     ``tests/nn/test_numerics.py`` pins byte-identity against the tape op
     on well-conditioned and fully-masked inputs.
     """
-    max_ = scores.max(axis=axis, keepdims=True)
-    neginf = np.isneginf(max_)
-    if neginf.any():
-        max_ = np.where(neginf, 0.0, max_)
-    shifted = scores - max_
+    shifted = scores - _shift_max(scores, axis)
     exp_x = np.exp(shifted)  # numerics: ok — max-shifted input <= 0 (or -inf rows)
     denom = exp_x.sum(axis=axis, keepdims=True)
     zero = denom == 0.0
@@ -171,6 +204,21 @@ def np_stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
         # Fully-masked rows: no mass anywhere; return zeros, not NaN.
         denom = np.where(zero, 1.0, denom)
     return exp_x / denom  # numerics: ok — denominator guarded > 0
+
+
+def np_log_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-shifted log-softmax, byte-identical to
+    :func:`repro.tensor.ops.log_softmax`.
+
+    Fully ``-inf`` rows give ``-inf`` log-probabilities, not NaN; NaN
+    inputs propagate.
+    """
+    shifted = scores - _shift_max(scores, axis)
+    norm = np.exp(shifted).sum(axis=axis, keepdims=True)  # numerics: ok — max-shifted
+    zero = norm == 0.0
+    if zero.any():
+        norm = np.where(zero, 1.0, norm)
+    return shifted - np.log(norm)  # numerics: ok — norm guarded > 0
 
 
 def np_bernoulli_entropy(z: np.ndarray, eps: float = TINY) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Tests for UNK replacement and sampling decoders."""
+"""Tests for UNK replacement and its attention-recording greedy decoder."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.decoding import (
     greedy_decode,
     greedy_decode_with_attention,
     replace_unknowns,
-    sample_decode,
 )
 from repro.models import ModelConfig, build_model
 from repro.models.base import NonFiniteLogits
@@ -35,8 +34,7 @@ def du_setup():
     batch = collate(list(dataset), pad_id=0)
     config = ModelConfig(embedding_dim=8, hidden_size=10, num_layers=1, dropout=0.0, seed=0)
     model = build_model("du-attention", config, len(encoder), len(decoder))
-    # A few training steps break the near-ties of a random init, making
-    # low-temperature sampling deterministic enough to compare with greedy.
+    # A few training steps break the near-ties of a random init.
     from repro.optim import SGD
 
     optimizer = SGD(model.parameters(), lr=0.5)
@@ -90,89 +88,20 @@ def test_replace_unknowns_attention_truncated_to_source():
     assert replace_unknowns([UNK], attention, source) == ["only"]
 
 
-def test_sample_decode_returns_per_example(du_setup):
-    model, batch, _ = du_setup
-    hyps = sample_decode(model, batch, np.random.default_rng(0), max_length=6)
-    assert len(hyps) == batch.size
-    for hyp in hyps:
-        assert len(hyp.token_ids) <= 6
-
-
-def test_sample_decode_seeded_reproducible(du_setup):
-    model, batch, _ = du_setup
-    a = sample_decode(model, batch, np.random.default_rng(7), max_length=6)
-    b = sample_decode(model, batch, np.random.default_rng(7), max_length=6)
-    assert [h.token_ids for h in a] == [h.token_ids for h in b]
-
-
-def test_sample_decode_temperature_zero_like_behaviour(du_setup):
-    """Very low temperature should reproduce greedy choices."""
-    model, batch, _ = du_setup
-    greedy = greedy_decode(model, batch, max_length=6)
-    cold = sample_decode(
-        model, batch, np.random.default_rng(0), temperature=1e-4, max_length=6
-    )
-    assert [h.token_ids for h in greedy] == [h.token_ids for h in cold]
-
-
-def test_sample_decode_diversity_at_high_temperature(du_setup):
-    model, batch, _ = du_setup
-    rng = np.random.default_rng(0)
-    outputs = {
-        tuple(h.token_ids)
-        for _ in range(5)
-        for h in sample_decode(model, batch, rng, temperature=3.0, max_length=6)
-    }
-    assert len(outputs) > 2
-
-
-def test_sample_decode_top_k_limits_support(du_setup):
-    model, batch, _ = du_setup
-    hyps = sample_decode(model, batch, np.random.default_rng(1), top_k=1, max_length=6)
-    greedy = greedy_decode(model, batch, max_length=6)
-    assert [h.token_ids for h in hyps] == [h.token_ids for h in greedy]
-
-
-def test_sample_decode_validation(du_setup):
-    model, batch, _ = du_setup
-    with pytest.raises(ValueError):
-        sample_decode(model, batch, np.random.default_rng(0), temperature=0.0)
-    with pytest.raises(ValueError):
-        sample_decode(model, batch, np.random.default_rng(0), top_k=0)
-
-
 def test_greedy_with_attention_nan_step_raises_typed_error(du_setup, monkeypatch):
     """A NaN decode step raises NonFiniteLogits instead of returning a
     hypothesis with ``log_prob=nan``."""
     model, batch, _ = du_setup
-    original = model._decode_step
+    original = model.decode_step
 
     def nan_step(*args, **kwargs):
-        d_k, c_k, attn, logits, states = original(*args, **kwargs)
-        logits.data[0, :] = np.nan
-        return d_k, c_k, attn, logits, states
+        record = original(*args, **kwargs)
+        record.log_probs[0, :] = np.nan
+        return record
 
-    monkeypatch.setattr(model, "_decode_step", nan_step)
+    monkeypatch.setattr(model, "decode_step", nan_step)
     with pytest.raises(NonFiniteLogits) as excinfo:
         greedy_decode_with_attention(model, batch, max_length=6)
-    assert excinfo.value.step == 0
-    assert excinfo.value.rows == 1
-
-
-def test_sample_decode_nan_step_raises_typed_error(du_setup, monkeypatch):
-    """A NaN decode step is the typed NonFiniteLogits, as in greedy decoding,
-    not the bare ValueError ``rng.choice`` raises on NaN probabilities."""
-    model, batch, _ = du_setup
-    original = model.step_log_probs
-
-    def nan_step(prev_tokens, state, context, row_indices=None):
-        log_probs, state = original(prev_tokens, state, context, row_indices)
-        log_probs[0, :] = np.nan
-        return log_probs, state
-
-    monkeypatch.setattr(model, "step_log_probs", nan_step)
-    with pytest.raises(NonFiniteLogits) as excinfo:
-        sample_decode(model, batch, np.random.default_rng(0), max_length=6)
     assert excinfo.value.step == 0
     assert excinfo.value.rows == 1
 

@@ -58,14 +58,15 @@ def test_trace_nan_step_raises_typed_error(trained_acnn, monkeypatch):
     from repro.models.base import NonFiniteLogits
 
     model, dataset, decoder = trained_acnn
-    original = model._decode_step
+    original = model.decode_step
 
     def nan_step(*args, **kwargs):
-        d_k, c_k, attn, logits, states = original(*args, **kwargs)
-        logits.data[:] = np.nan
-        return d_k, c_k, attn, logits, states
+        record = original(*args, **kwargs)
+        record.probs[:] = np.nan
+        record.log_probs[:] = np.nan
+        return record
 
-    monkeypatch.setattr(model, "_decode_step", nan_step)
+    monkeypatch.setattr(model, "decode_step", nan_step)
     with pytest.raises(NonFiniteLogits) as excinfo:
         trace_generation(model, dataset[0], decoder, max_length=10)
     assert excinfo.value.step == 0

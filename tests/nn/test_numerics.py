@@ -243,3 +243,44 @@ def test_np_stable_softmax_does_not_launder_nan():
 
     scores = np.array([[0.0, np.nan, 1.0]])
     assert np.isnan(np_stable_softmax(scores, axis=1)).any()
+
+
+def test_np_log_softmax_matches_tape_log_softmax_bytes():
+    from repro.nn.numerics import np_log_softmax
+
+    rng = np.random.default_rng(2)
+    for scores in [
+        rng.standard_normal((4, 7)),
+        rng.standard_normal((4, 7)) * 1e4,  # extreme logits
+        np.where(rng.random((4, 7)) < 0.4, -1e9, rng.standard_normal((4, 7))),
+        np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, 1.0]]),  # fully masked row
+    ]:
+        expected = log_softmax(Tensor(scores), axis=1).data
+        np.testing.assert_array_equal(np_log_softmax(scores, axis=1), expected)
+        assert np_log_softmax(scores, axis=1).tobytes() == expected.tobytes()
+
+
+def test_np_log_softmax_does_not_launder_nan():
+    from repro.nn.numerics import np_log_softmax
+
+    assert np.isnan(np_log_softmax(np.array([[0.0, np.nan, 1.0]]), axis=1)).all()
+
+
+def test_np_stable_sigmoid_matches_tape_sigmoid_bytes():
+    from repro.nn.numerics import np_saturating_sigmoid, np_stable_sigmoid
+
+    rng = np.random.default_rng(3)
+    for x in [
+        np.linspace(-40.0, 40.0, 161),
+        rng.standard_normal((5, 6)) * 8.0,
+        np.array([-1e4, -0.0, 0.0, 1e4, -800.0, 800.0]),
+    ]:
+        expected = sigmoid(Tensor(x)).data
+        assert np_stable_sigmoid(x).tobytes() == expected.tobytes()
+        assert np_saturating_sigmoid(x).tobytes() == saturating_sigmoid(Tensor(x)).data.tobytes()
+
+
+def test_np_stable_sigmoid_propagates_nan():
+    from repro.nn.numerics import np_stable_sigmoid
+
+    assert np.isnan(np_stable_sigmoid(np.array([np.nan, 1.0, -1.0]))[0])
