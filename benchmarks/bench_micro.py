@@ -278,108 +278,3 @@ def test_acnn_loss_tape_node_count(benchmark, micro_setup):
     # Sentence-scale batch: the graph must stay well under ~10k nodes; the
     # pre-fusion implementation was several times larger.
     assert profile.nodes < 10000
-
-
-def test_fusion_throughput_report(results_dir):
-    """Fused single-node kernels (inside ``lazy()``) vs the eager tape.
-
-    Fusion runs only where gradients are recorded (``acnn train
-    --fusion``); under ``no_grad`` every decode runs eager, inside
-    ``lazy()`` or not. So the one configuration is the attention layer
-    forward + backward, as one fused node vs the elementary eager chain,
-    with byte-identical forwards. Results go to
-    ``results/fusion_throughput.txt`` and the repo-root
-    ``BENCH_tensor_fusion.json``. Acceptance bar: >= 2x.
-    """
-    import json
-    import os
-
-    from repro.tensor import lazy
-
-    rng = np.random.default_rng(0)
-
-    def best_of(fn, repeats=5):
-        timings = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            timings.append(time.perf_counter() - start)
-        return min(timings)
-
-    configs = []
-
-    # --- fused single-node attention, forward + backward ----------------
-    # This is what ``train --fusion`` toggles: the whole score→mask→
-    # softmax→context chain as one tape node with a hand-written BLAS
-    # backward, vs ~12 elementary nodes each materializing (B, T, E)
-    # temporaries in both directions.
-    grad_attention = GlobalAttention(64, 128, rng)
-    gd = Tensor(rng.standard_normal((16, 64)), requires_grad=True)
-    gh = Tensor(rng.standard_normal((16, 200, 128)), requires_grad=True)
-    gmask = rng.random((16, 200)) < 0.2
-    gmask[:, 0] = False
-
-    def attention_grad(fused):
-        for _ in range(20):
-            if fused:
-                with lazy():
-                    context, weights = grad_attention(gd, gh, pad_mask=gmask)
-            else:
-                context, weights = grad_attention(gd, gh, pad_mask=gmask)
-            (context.sum() + weights.sum()).backward()
-            gd.zero_grad()
-            gh.zero_grad()
-            grad_attention.weight.zero_grad()
-
-    eager_context, _ = grad_attention(gd, gh, pad_mask=gmask)
-    with lazy():
-        fused_context, _ = grad_attention(gd, gh, pad_mask=gmask)
-    assert fused_context.data.tobytes() == eager_context.data.tobytes()
-    attention_grad(True)  # warm up both the kernel path and the allocator
-    attention_grad(False)
-    configs.append(
-        {
-            "name": "attention_grad_fused_node",
-            "detail": "batch=16 time=200 enc=128, 20 forward+backward steps",
-            "eager_seconds": best_of(lambda: attention_grad(False)),
-            "fused_seconds": best_of(lambda: attention_grad(True)),
-        }
-    )
-
-    for config in configs:
-        config["speedup"] = round(config["eager_seconds"] / config["fused_seconds"], 2)
-
-    lines = [
-        "kernel fusion throughput: lazy() fused single-node kernels vs eager",
-        "best-of-5 wall clock per configuration",
-        "",
-        f"{'config':<28} {'eager (s)':>10} {'fused (s)':>10} {'speedup':>8}",
-    ]
-    for config in configs:
-        lines.append(
-            f"{config['name']:<28} {config['eager_seconds']:>10.4f} "
-            f"{config['fused_seconds']:>10.4f} {config['speedup']:>7.2f}x"
-        )
-    write_result(results_dir, "fusion_throughput.txt", "\n".join(lines) + "\n")
-
-    report = {
-        "benchmark": "tensor_fusion",
-        "description": (
-            "lazy() fused single-node attention kernel vs per-op eager "
-            "dispatch, forward + backward"
-        ),
-        "command": "PYTHONPATH=src python -m pytest benchmarks/bench_micro.py -k fusion_throughput",
-        "timing": "best of 5",
-        "equivalence": "fused forward byte-identical to eager; no_grad code never fuses",
-        "configs": configs,
-        "max_speedup": max(config["speedup"] for config in configs),
-    }
-    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(repo_root, "BENCH_tensor_fusion.json"), "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-
-    assert report["max_speedup"] >= 2.0, (
-        f"fusion must hit >= 2x on at least one config, best was "
-        f"{report['max_speedup']:.2f}x"
-    )

@@ -47,10 +47,7 @@ BLESSED = {Path("src/repro/nn/numerics.py")}
 #: blame — every log/exp/sqrt must route through repro.nn.numerics so the
 #: guarded kernels (np_fast_sigmoid, np_stable_softmax, np_safe_*) are the
 #: only transcendental code paths.
-STRICT_FUSED = {
-    Path("src/repro/nn/functional.py"),
-    Path("src/repro/tensor/fusion.py"),
-}
+STRICT_FUSED = {Path("src/repro/nn/functional.py")}
 
 WAIVER = "# numerics: ok"
 

@@ -18,7 +18,6 @@ air-gapped machine.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import signal
 import sys
@@ -57,7 +56,6 @@ from repro.training import (
     TrainerConfig,
     TrainingInterrupted,
 )
-from repro.tensor.fusion import lazy
 from repro.training.bundle import ModelBundle
 
 __all__ = ["main"]
@@ -227,12 +225,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    # Forked elastic workers inherit the lazy() scope with the process.
-    with lazy() if args.fusion else contextlib.nullcontext():
-        return _train(args)
-
-
-def _train(args) -> int:
     from repro.data import split_examples
 
     examples = _load_examples(args)
@@ -765,14 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "seconds without a worker heartbeat before the supervisor "
             "declares it dead and re-shards its micro-batches"
-        ),
-    )
-    train.add_argument(
-        "--fusion",
-        action="store_true",
-        help=(
-            "run the attention and copy chains as fused single-node kernels "
-            "with hand-written backwards (same forward bytes, fewer tape nodes)"
         ),
     )
     train.set_defaults(handler=_cmd_train)

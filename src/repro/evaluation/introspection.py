@@ -17,8 +17,8 @@ import numpy as np
 
 from repro.data.batching import collate
 from repro.data.dataset import EncodedExample
-from repro.data.vocabulary import BOS_ID, PAD_ID, Vocabulary
-from repro.decoding.greedy import decode_tokens, recording_step
+from repro.data.vocabulary import PAD_ID, Vocabulary
+from repro.decoding.greedy import argmax_pick, decode_tokens, recording_step
 from repro.decoding.hypothesis import extended_ids_to_tokens
 from repro.models.acnn import ACNN
 from repro.models.base import DecodeStep
@@ -65,23 +65,16 @@ def trace_generation(
 ) -> GenerationTrace:
     """Greedy-decode one example, recording the model internals per step.
 
-    A NaN step raises :class:`~repro.models.base.NonFiniteLogits`, as in
-    greedy decoding.
+    The picks are :func:`~repro.decoding.greedy.greedy_decode`'s, so the
+    trace reports the tokens greedy decoding emits. A NaN step raises
+    :class:`~repro.models.base.NonFiniteLogits`, as in greedy decoding.
     """
     if not isinstance(model, ACNN):
         raise TypeError("trace_generation requires an ACNN (it reads the copy internals)")
     records: list[DecodeStep] = []
-
-    def pick(step_lp: np.ndarray) -> np.ndarray:
-        # The argmax of the Eq. 2 probabilities themselves: their smoothed
-        # log can round two near-tied top values into one.
-        probs = records[-1].probs.copy()
-        probs[:, [PAD_ID, BOS_ID]] = 0.0
-        return probs.argmax(axis=1)
-
     batch = collate([encoded], pad_id=PAD_ID)
     (hypothesis,) = decode_tokens(
-        model, batch, pick, max_length, step_fn=recording_step(model, records)
+        model, batch, argmax_pick, max_length, step_fn=recording_step(model, records)
     )
     tokens = extended_ids_to_tokens(hypothesis.token_ids, decoder_vocab, encoded.oov_tokens)
     steps = tuple(

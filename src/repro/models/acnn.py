@@ -29,8 +29,9 @@ For ablations, ``switch_mode`` can freeze the gate: ``"adaptive"`` (paper),
 
 Eqs. 3 and 4 each have a tape form (:meth:`ACNN.copy_distribution`,
 :meth:`ACNN.switch`) for the teacher-forced loss and, next to it, an array
-form running the same numpy operations for inference decode steps
-(:meth:`ACNN.decode_step`), so both give the same bytes.
+form for inference decode steps (:meth:`ACNN.decode_step`). Eq. 3's tape
+form is the single fused node
+:func:`repro.nn.functional.fused_pointer_probs`; both give the same bytes.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.models.config import ModelConfig
 from repro.models.du_attention import DuAttentionModel
 from repro.nn import Linear, Parameter, sequence_nll
 from repro.nn import init as nn_init
-from repro.nn.attention import live_width, pad_masked_scores, pad_masked_scores_array
+from repro.nn.attention import live_width, pad_masked_scores_array
 from repro.nn.loss import PROBABILITY_FLOOR
 from repro.nn.functional import fused_pointer_probs
 from repro.nn.numerics import (
@@ -55,15 +56,7 @@ from repro.nn.numerics import (
     saturating_sigmoid,
 )
 from repro.tensor.core import Tensor
-from repro.tensor.fusion import is_lazy_enabled
-from repro.tensor.ops import (
-    concat,
-    expand_dims,
-    gather_rows,
-    masked_fill,
-    minimum,
-    softmax,
-)
+from repro.tensor.ops import concat, gather_rows, minimum, softmax
 
 __all__ = ["ACNN"]
 
@@ -147,32 +140,14 @@ class ACNN(DuAttentionModel):
     ) -> Tensor:
         """Eq. 3: ``P_cop`` over source positions, padding masked out.
 
-        Like :class:`~repro.nn.attention.GlobalAttention`, the eager chain
-        scores only the live source prefix and normalizes at the full
-        width.
+        The score→bias→mask→softmax chain is one fused tape node at the
+        full width. The Linear stays an ordinary tape op, so its parameters
+        remain ordinary tape parents.
         """
         projected = self.copy_projection(concat([d_k, c_k], axis=1))  # (B, enc_out)
-        if is_lazy_enabled():
-            # Fusion on (gradients only): the score→bias→mask→softmax chain
-            # runs as one fused kernel at the full width (byte-identical
-            # numpy sequence). The Linear stays eager so its parameters
-            # remain ordinary tape parents.
-            return fused_pointer_probs(
-                projected,
-                encoder_states,
-                self.copy_score_bias,
-                src_pad_mask,
-                mask_value=_MASK_VALUE,
-            )
-        width = encoder_states.shape[1]
-        live = live_width(src_pad_mask, width)
-        if live < width:
-            encoder_states = encoder_states[:, :live]
-            src_pad_mask = src_pad_mask[:, :live]
-        scores = (expand_dims(projected, 1) * encoder_states).sum(axis=2)  # (B, live)
-        scores = scores + self.copy_score_bias
-        scores = masked_fill(scores, src_pad_mask, _MASK_VALUE)
-        return softmax(pad_masked_scores(scores, width), axis=1)
+        return fused_pointer_probs(
+            projected, encoder_states, self.copy_score_bias, src_pad_mask, mask_value=_MASK_VALUE
+        )
 
     def copy_distribution_array(
         self,
@@ -181,8 +156,9 @@ class ACNN(DuAttentionModel):
         encoder_states: np.ndarray,
         src_pad_mask: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`copy_distribution` on arrays, off the tape (same numpy
-        operations)."""
+        """:meth:`copy_distribution` on arrays, off the tape: the elementary
+        chain over the live source prefix, softmax at the full width (same
+        bytes as the fused kernel, see :mod:`repro.nn.attention`)."""
         projected = self.copy_projection.forward_array(np.concatenate([d_k, c_k], axis=1))
         width = encoder_states.shape[1]
         live = live_width(src_pad_mask, width)

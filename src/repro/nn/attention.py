@@ -24,9 +24,14 @@ byte the full-width computation:
   terms by the axis length, so it would round differently at a narrower
   width. That is why the softmax keeps the full width.
 
-:meth:`GlobalAttention.forward` records the tape for the training loss;
-:meth:`GlobalAttention.forward_array` runs the same numpy operations on
-plain arrays for inference decode steps, so both give the same bytes.
+On the tape, :meth:`GlobalAttention.forward` runs the whole chain as the
+single fused node :func:`repro.nn.functional.fused_attention`, at the full
+width (same bytes, as above). Coverage mixes an accumulated history into
+the scores, which the kernel cannot express, so coverage attention keeps
+the elementary-op chain over the live prefix.
+:meth:`GlobalAttention.forward_array` runs the elementary chain's numpy
+operations on plain arrays for inference decode steps, so all three give
+the same bytes.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import init
+from repro.nn.functional import fused_attention
 from repro.nn.module import Module, Parameter
 from repro.nn.numerics import np_stable_softmax
 from repro.tensor.core import Tensor
-from repro.tensor.fusion import is_lazy_enabled
 from repro.tensor.ops import concat, expand_dims, masked_fill, softmax, tanh
 
 __all__ = ["GlobalAttention", "live_width", "pad_masked_scores", "pad_masked_scores_array"]
@@ -143,19 +148,9 @@ class GlobalAttention(Module):
             ``weights`` is ``(B, T)`` (``a_{k,t}``), summing to one over the
             non-padded positions.
         """
-        if coverage is None and is_lazy_enabled():
-            # Fusion on (gradients only): the whole score→mask→softmax→
-            # context chain runs as one fused kernel at the full width
-            # (byte-identical numpy sequence). Coverage mixes a history
-            # tensor into the scores and keeps the elementary-op path below.
-            from repro.nn.functional import fused_attention
-
+        if coverage is None:
             return fused_attention(
-                decoder_state,
-                encoder_states,
-                self.weight,
-                pad_mask=pad_mask,
-                mask_value=_MASK_VALUE,
+                decoder_state, encoder_states, self.weight, pad_mask, mask_value=_MASK_VALUE
             )
         width = encoder_states.shape[1]
         live = live_width(pad_mask, width)

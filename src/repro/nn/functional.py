@@ -24,12 +24,14 @@ sigmoid call over all ``4H`` pre-activations) and one gate backward
 Gate layout in the fused weights is ``[input, forget, cell, output]``,
 matching :class:`repro.nn.lstm.LSTMCell`.
 
-Inside :class:`repro.tensor.fusion.lazy` with gradients on, the same idea
-extends one level up: :func:`fused_attention` collapses the attention
-score→mask→softmax→context chain (~10 tape ops in
-:class:`repro.nn.attention.GlobalAttention`) into one node with a
-hand-written backward, and :func:`fused_pointer_probs` does the same for
+The same idea extends one level up, and these are the only tape forms of
+their chains: :func:`fused_attention` is the attention
+score→mask→softmax→context chain of
+:class:`repro.nn.attention.GlobalAttention` (about 10 elementary ops) as
+one node with a hand-written backward, and :func:`fused_pointer_probs` is
 the ACNN Eq. 3 copy-score chain. Both run at the full source width.
+Coverage attention mixes an accumulated history into the scores, which
+:func:`fused_attention` cannot express, so it keeps the elementary ops.
 
 Every kernel performs the same numpy operations in the same order as its
 elementary-op formulation, so forward outputs are byte-identical. The
@@ -277,11 +279,11 @@ def fused_attention(
 
     This is a single node whose packed output is ``[context ; weights]``
     along axis 1, split by two basic slices; the hand-written backward is
-    gradcheck-pinned against the eager chain.
+    gradcheck-pinned.
 
     Coverage-mode attention is NOT expressible here (it mixes an
-    accumulated history tensor into the scores); callers keep the
-    elementary-op path for that case.
+    accumulated history tensor into the scores); the layer keeps the
+    elementary-op chain for that case.
     """
     d = decoder_state.data
     enc = encoder_states.data

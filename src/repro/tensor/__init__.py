@@ -14,7 +14,6 @@ from repro.tensor.anomaly import (
     provenance_of,
 )
 from repro.tensor.core import DEFAULT_DTYPE, Tensor, ensure_tensor, is_grad_enabled, no_grad
-from repro.tensor.fusion import is_lazy_enabled, lazy
 from repro.tensor.gradcheck import (
     GradientCheckError,
     check_finite_gradients,
@@ -59,8 +58,6 @@ __all__ = [
     "ensure_tensor",
     "is_grad_enabled",
     "no_grad",
-    "lazy",
-    "is_lazy_enabled",
     "GradientCheckError",
     "check_finite_gradients",
     "check_gradients",

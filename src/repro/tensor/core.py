@@ -29,6 +29,17 @@ __all__ = [
 
 DEFAULT_DTYPE = np.float64
 
+# Reentrancy: the three mode switches below (``_GRAD_ENABLED``,
+# ``_PROFILES``, ``_ANOMALY``) are plain module-level state. That is safe
+# because every consumer (the trainer, the decoding engines, the serving
+# engine) runs tape code on one thread per process. Each is exception-safe
+# and reentrant: entering pushes, exiting pops exactly that entry, so
+# nested contexts, including reusing one ``no_grad`` instance, restore the
+# previous state (it is kept per entry, not per instance). Forked workers
+# (elastic training) inherit the state as it stood at fork time. Sharing
+# one process between concurrent tape users would need thread-locals and
+# is out of contract.
+
 # Module-level switch flipped by the ``no_grad`` context manager. When False,
 # newly created tensors never record parents, which makes inference cheap.
 _GRAD_ENABLED = True

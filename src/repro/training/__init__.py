@@ -10,7 +10,7 @@ from repro.training.elastic import (
     mask_worker_signals,
 )
 from repro.training.history import EpochRecord, RecoveryEvent, TrainingHistory
-from repro.training.overflow import BatchQuarantined, DynamicLossScaler, OverflowPolicy
+from repro.training.overflow import BatchQuarantined, OverflowPolicy
 from repro.training.resilience import ResilienceConfig, SnapshotStore
 from repro.training.sharding import (
     ShardPlan,
@@ -52,7 +52,6 @@ __all__ = [
     "RecoveryEvent",
     "TrainingHistory",
     "BatchQuarantined",
-    "DynamicLossScaler",
     "OverflowPolicy",
     "ResilienceConfig",
     "SnapshotStore",

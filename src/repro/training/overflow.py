@@ -7,19 +7,16 @@ learning rate. That is the right escalation for a *diverged* run, but it is
 a heavyweight response to a *single* pathological batch — one outlier
 paragraph can cost a full epoch of replayed work.
 
-This module supplies the graduated response, modeled on mixed-precision
-dynamic loss scaling (the GPU-era machinery that made "skip the step,
-shrink the scale, move on" the standard reaction to overflow):
+This module supplies the graduated response:
 
 - :class:`BatchQuarantined` — the typed control-flow event raised by
   ``Trainer.train_batch`` under ``overflow_policy="skip"``; the epoch loop
   catches it, drops the batch from the epoch averages, and keeps going.
-- :class:`DynamicLossScaler` — tracks consecutive-good/bad step counts and
-  a multiplicative loss scale. With the default ``init_scale=1.0`` and
-  growth disabled it is inert (training is byte-identical to a run without
-  it); tests and ablations can enable real scaling.
-- :class:`OverflowPolicy` — the valid ``overflow_policy`` names and the
-  escalation bookkeeping shared by the trainer and the CLI.
+- :class:`OverflowPolicy` — the valid ``overflow_policy`` names shared by
+  the trainer and the CLI.
+
+There is no loss scaling: it keeps fp16 gradients from underflowing, the
+tape is float64, and scaling a loss cannot make a non-finite batch finite.
 
 Escalation: ``skip`` still raises ``TrainingDiverged`` after
 ``overflow_max_consecutive`` quarantines in a row — a model that cannot
@@ -29,9 +26,7 @@ starves the epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-__all__ = ["OverflowPolicy", "BatchQuarantined", "DynamicLossScaler"]
+__all__ = ["OverflowPolicy", "BatchQuarantined"]
 
 
 class OverflowPolicy:
@@ -68,74 +63,3 @@ class BatchQuarantined(ArithmeticError):
         self.step = step
         self.value = value
         """The offending scalar (loss value or grad norm) when one exists."""
-
-
-@dataclass
-class DynamicLossScaler:
-    """AMP-style dynamic loss scale with skip-on-overflow bookkeeping.
-
-    The loss is multiplied by :attr:`scale` before ``backward`` and the
-    gradients divided by it before clipping. On a quarantined batch the
-    scale backs off; after ``growth_interval`` consecutive good steps it
-    grows back. Defaults are deliberately inert — ``init_scale=1.0`` with
-    ``growth_interval=0`` (growth disabled) means the loss is never
-    touched and training is bit-for-bit identical to the unscaled loop.
-    """
-
-    init_scale: float = 1.0
-    growth_factor: float = 2.0
-    backoff_factor: float = 0.5
-    growth_interval: int = 0
-    """Consecutive good steps before the scale grows (0 disables growth)."""
-    min_scale: float = 2.0**-14
-    max_scale: float = 2.0**16
-
-    scale: float = field(init=False)
-    good_steps: int = field(init=False, default=0)
-    overflows: int = field(init=False, default=0)
-    consecutive_overflows: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        if self.init_scale <= 0:
-            raise ValueError(f"init_scale must be positive, got {self.init_scale}")
-        if not 0 < self.backoff_factor < 1:
-            raise ValueError(f"backoff_factor must be in (0, 1), got {self.backoff_factor}")
-        if self.growth_factor <= 1:
-            raise ValueError(f"growth_factor must be > 1, got {self.growth_factor}")
-        self.scale = float(self.init_scale)
-
-    @property
-    def active(self) -> bool:
-        """True when the current scale actually changes the loss."""
-        return self.scale != 1.0
-
-    def on_overflow(self) -> float:
-        """Record a quarantined batch; back the scale off. Returns new scale."""
-        self.overflows += 1
-        self.consecutive_overflows += 1
-        self.good_steps = 0
-        self.scale = max(self.min_scale, self.scale * self.backoff_factor)
-        return self.scale
-
-    def on_good_step(self) -> float:
-        """Record a finite step; grow the scale when due. Returns new scale."""
-        self.consecutive_overflows = 0
-        self.good_steps += 1
-        if self.growth_interval and self.good_steps >= self.growth_interval:
-            self.good_steps = 0
-            self.scale = min(self.max_scale, self.scale * self.growth_factor)
-        return self.scale
-
-    def state_dict(self) -> dict:
-        return {
-            "scale": self.scale,
-            "good_steps": self.good_steps,
-            "overflows": self.overflows,
-            "consecutive_overflows": self.consecutive_overflows,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.scale = float(state["scale"])
-        self.good_steps = int(state["good_steps"])
-        self.overflows = int(state["overflows"])
-        self.consecutive_overflows = int(state["consecutive_overflows"])

@@ -100,19 +100,16 @@ def epoch_batch_plan(
 def reseed_model_rngs(model, run_seed: int, epoch: int, microbatch: int) -> None:
     """Reseed every model-owned Generator for one micro-batch.
 
-    Generators are enumerated in sorted module-path order and each receives
-    its own spawned child of ``(run_seed, "microbatch", epoch, microbatch)``,
-    so the dropout/sampling streams of a micro-batch do not depend on which
-    worker — or how many workers — the run is using.
+    Each generator's stream is derived from ``(run_seed, "microbatch",
+    epoch, microbatch, path)``, with ``path`` its module path, so the
+    dropout streams of a micro-batch do not depend on which worker (or how
+    many workers) the run is using, nor on which other generators exist.
     """
     from repro.training.resilience import _iter_module_generators
 
-    generators = sorted(_iter_module_generators(model), key=lambda item: item[0])
-    if not generators:
-        return
-    root = derive_seed_sequence(run_seed, "microbatch", epoch, microbatch)
-    for (_, generator), child in zip(generators, root.spawn(len(generators))):
-        generator.bit_generator.state = np.random.default_rng(child).bit_generator.state
+    for path, generator in _iter_module_generators(model):
+        stream = derive_rng(run_seed, "microbatch", epoch, microbatch, path)
+        generator.bit_generator.state = stream.bit_generator.state
 
 
 # ----------------------------------------------------------------------

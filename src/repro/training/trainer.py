@@ -40,7 +40,7 @@ from repro.runtime.supervisor import DrainGuard
 from repro.tensor.anomaly import NumericalAnomaly, detect_anomaly
 from repro.tensor.core import no_grad
 from repro.training.history import EpochRecord, RecoveryEvent, TrainingHistory
-from repro.training.overflow import BatchQuarantined, DynamicLossScaler, OverflowPolicy
+from repro.training.overflow import BatchQuarantined, OverflowPolicy
 from repro.training.resilience import (
     ResilienceConfig,
     SnapshotStore,
@@ -204,7 +204,6 @@ class Trainer:
         epoch_callback: Callable[[EpochRecord], None] | None = None,
         resilience: ResilienceConfig | None = None,
         telemetry: Telemetry | None = None,
-        loss_scaler: DynamicLossScaler | None = None,
     ) -> None:
         self.model = model
         self.train_iterator = train_iterator
@@ -221,13 +220,11 @@ class Trainer:
         self.schedule = schedule or HalveAtEpoch(self.optimizer, self.config.halve_at_epoch)
         self.epoch_callback = epoch_callback
         self.resilience = resilience
-        if loss_scaler is None and self.config.overflow_policy == OverflowPolicy.SKIP:
-            # Inert by default (scale 1.0, growth off): supplies the
-            # quarantine bookkeeping without perturbing the arithmetic.
-            loss_scaler = DynamicLossScaler()
-        self.loss_scaler = loss_scaler
         self.overflow_skipped = 0
         """Total batches quarantined under ``overflow_policy="skip"``."""
+        self.consecutive_overflows = 0
+        """Batches quarantined since the last good step; ``skip`` escalates
+        to :class:`TrainingDiverged` at ``overflow_max_consecutive``."""
         self.history = TrainingHistory()
         self.best_state: dict | None = None
         self._embeddings = [m for m in model.modules() if isinstance(m, Embedding)]
@@ -273,7 +270,6 @@ class Trainer:
         """
         telemetry = self.telemetry
         self.model.train()
-        scaler = self.loss_scaler
         anomaly_guard = detect_anomaly() if self.config.detect_anomaly else nullcontext()
         try:
             with anomaly_guard:
@@ -293,10 +289,7 @@ class Trainer:
                         value=loss_value,
                     )
                 with telemetry.span("backward"):
-                    if scaler is not None and scaler.active:
-                        (loss * scaler.scale).backward()
-                    else:
-                        loss.backward()
+                    loss.backward()
         except NumericalAnomaly as exc:
             # detect_anomaly already emitted anomaly.* telemetry; here the
             # culprit op becomes the typed cause so a rollback's
@@ -307,11 +300,6 @@ class Trainer:
             ) from exc
         for embedding in self._embeddings:
             embedding.zero_padding_grad()
-        if scaler is not None and scaler.active:
-            unscale = 1.0 / scaler.scale  # numerics: ok — scaler.scale > 0 invariant
-            for param in self.optimizer.parameters:
-                if param.grad is not None:
-                    param.grad *= unscale
         try:
             norm = clip_grad_norm(
                 self.optimizer.parameters, self.config.clip_norm, on_nonfinite="raise"
@@ -327,8 +315,7 @@ class Trainer:
         with telemetry.span("optimizer_step"):
             self.optimizer.step()
         self.model.zero_grad()
-        if scaler is not None:
-            scaler.on_good_step()
+        self.consecutive_overflows = 0
         return loss_value, norm
 
     def evaluate_loss(self, iterator: BatchIterator) -> float:
@@ -356,7 +343,7 @@ class Trainer:
             "retries_used": self._retries_used,
             "finished": self._finished,
             "overflow_skipped": self.overflow_skipped,
-            "loss_scaler": self.loss_scaler.state_dict() if self.loss_scaler else None,
+            "consecutive_overflows": self.consecutive_overflows,
             "has_best": self.best_state is not None,
             "optimizer": optimizer_state["scalars"],
             "schedule": self.schedule.state_dict(),
@@ -394,9 +381,7 @@ class Trainer:
         self._retries_used = max(self._retries_used, int(meta["retries_used"]))
         self._finished = bool(meta.get("finished", False))
         self.overflow_skipped = int(meta.get("overflow_skipped", 0))
-        scaler_state = meta.get("loss_scaler")
-        if scaler_state and self.loss_scaler is not None:
-            self.loss_scaler.load_state_dict(scaler_state)
+        self.consecutive_overflows = int(meta.get("consecutive_overflows", 0))
         self._step = int(meta["step"])
 
         telemetry_state = meta.get("telemetry")
@@ -462,12 +447,8 @@ class Trainer:
         to :class:`TrainingDiverged` after too many in a row."""
         self.model.zero_grad()
         self.overflow_skipped += 1
-        scaler = self.loss_scaler
-        consecutive = self.overflow_skipped
-        scale = 1.0
-        if scaler is not None:
-            scale = scaler.on_overflow()
-            consecutive = scaler.consecutive_overflows
+        self.consecutive_overflows += 1
+        consecutive = self.consecutive_overflows
         self.telemetry.counter("train.overflow.skipped")
         self.telemetry.run_marker(
             "overflow_quarantine",
@@ -476,7 +457,6 @@ class Trainer:
             batch=batch_index,
             skipped_total=self.overflow_skipped,
             consecutive=consecutive,
-            scale=scale,
         )
         self.telemetry.log(
             f"[overflow] quarantined batch {batch_index} of epoch {epoch} "

@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from repro.data import QGDataset, QGExample, Vocabulary, collate
 from repro.data.vocabulary import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 from repro.decoding import Hypothesis, extended_ids_to_tokens, greedy_decode_with_attention
+from repro.decoding.greedy import greedy_decode
 from repro.evaluation import trace_generation
 from repro.evaluation.introspection import GenerationTrace, StepTrace
 from repro.models import ModelConfig, build_model
 from repro.models.base import DecoderStepState
+from repro.nn.loss import PROBABILITY_FLOOR
 from repro.nn.numerics import np_smoothed_log
 from repro.tensor import Tensor, no_grad
 from repro.tensor.ops import log_softmax, softmax
@@ -55,9 +57,9 @@ def _reference_trace(model, encoded, decoder_vocab, max_length):
             ).data
             z = model.switch(d_k, c_k, embedded).data
             extended = model._extended_mixture(p_att, p_cop, z, context.src_ext, context.max_oov)[0]
-            extended[PAD_ID] = 0.0
-            extended[BOS_ID] = 0.0
-            choice = int(extended.argmax())
+            step_lp = np_smoothed_log(extended, PROBABILITY_FLOOR)
+            step_lp[[PAD_ID, BOS_ID]] = -np.inf
+            choice = int(step_lp.argmax())
             state = DecoderStepState(
                 new_lstm,
                 coverage=state.coverage + attn.data if state.coverage is not None else None,
@@ -216,11 +218,11 @@ def test_du_greedy_with_attention_matches_reference_loop(
         assert [row.tobytes() for row in got_rows] == [row.tobytes() for row in want_rows]
 
 
-def test_trace_picks_by_probability_where_the_smoothed_log_ties(monkeypatch):
-    """The trace takes the argmax of the Eq. 2 probabilities, as the
-    reference does, not of their smoothed log: ``log(p + 1e-12)`` can round
-    two near-tied top values into one, and the log argmax would then take
-    the lower id."""
+def test_trace_and_greedy_pick_alike_where_the_smoothed_log_ties(monkeypatch):
+    """The trace and greedy decoding share one pick rule, the argmax of the
+    step log-probs: where ``log(p + 1e-12)`` rounds two near-tied top
+    probabilities into one, both take the lower id, so the trace reports
+    the token that decoding emits."""
     model, dataset, decoder = _fleet(3, "acnn", 1, 1)
     low, high = 4, 5  # two decoder-vocab ids above PAD/BOS/EOS/UNK
     top = 0.01
@@ -238,4 +240,5 @@ def test_trace_picks_by_probability_where_the_smoothed_log_ties(monkeypatch):
 
     monkeypatch.setattr(model, "decode_step", near_tie)
     trace = trace_generation(model, dataset[0], decoder, max_length=2)
-    assert [step.token_id for step in trace.steps] == [high, high]
+    (greedy,) = greedy_decode(model, collate([dataset[0]], pad_id=PAD_ID), max_length=2)
+    assert [step.token_id for step in trace.steps] == list(greedy.token_ids) == [low, low]

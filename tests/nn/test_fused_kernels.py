@@ -1,18 +1,19 @@
 """Fused attention / pointer kernels: gradchecks against numerical
 gradients and byte-identity fuzzing against the elementary-op formulation,
-with gradients on and under ``no_grad``."""
+with gradients on and under ``no_grad``. The layers run these kernels as
+their only tape form, so the layer tests compare them with the elementary
+chains on the same inputs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.attention import GlobalAttention
+from repro.nn.attention import GlobalAttention, live_width, pad_masked_scores
 from repro.nn.functional import fused_attention, fused_pointer_probs
 from repro.tensor import Tensor, no_grad
 from repro.tensor.gradcheck import check_gradients
-from repro.tensor.fusion import lazy
-from repro.tensor.ops import expand_dims, masked_fill, softmax
+from repro.tensor.ops import concat, expand_dims, masked_fill, softmax
 
 dims = st.integers(2, 5)
 seeds = st.integers(0, 10_000)
@@ -45,6 +46,19 @@ def _eager_attention_chain(d, states, weight, mask):
         scores = masked_fill(scores, mask, -1e9)
     weights = softmax(scores, axis=1)
     context = (expand_dims(weights, 2) * states).sum(axis=1)
+    return context, weights
+
+
+def _live_prefix_attention_chain(layer, d, states, mask):
+    """The elementary attention chain over the live source prefix, softmax
+    at the full width: what the layer ran on the tape before the kernel."""
+    width = states.shape[1]
+    live = live_width(mask, width)
+    scores = layer.scores(d, states[:, :live])
+    if mask is not None:
+        scores = masked_fill(scores, mask[:, :live], -1e9)
+    weights = softmax(pad_masked_scores(scores, width), axis=1)
+    context = (expand_dims(weights[:, :live], 2) * states[:, :live]).sum(axis=1)
     return context, weights
 
 
@@ -94,22 +108,20 @@ def test_attention_layer_routes_through_fused_kernel_identically():
     states = Tensor(rng.standard_normal((3, 5, 6)))
     mask = rng.random((3, 5)) < 0.3
     mask[:, 0] = False
-    eager_c, eager_w = layer(d, states, pad_mask=mask)
-    with lazy():
-        fused_c, fused_w = layer(d, states, pad_mask=mask)
+    eager_c, eager_w = _eager_attention_chain(d, states, layer.weight, mask)
+    fused_c, fused_w = layer(d, states, pad_mask=mask)
     assert np.array_equal(eager_c.data, fused_c.data)
     assert np.array_equal(eager_w.data, fused_w.data)
 
 
 @pytest.mark.parametrize("trailing_pad", [0, 4])
 def test_attention_layer_live_prefix_routes_through_fused_kernel_identically(trailing_pad):
-    """The fused kernel runs at the full width; the eager layer skips
+    """The fused kernel runs at the full width; the elementary chain skips
     trailing all-pad columns. Same bytes either way."""
     layer = GlobalAttention(4, 6, np.random.default_rng(3))
     d, states, _, mask = _attention_inputs(3, 5, 4, 6, seed=3, trailing_pad=trailing_pad)
-    eager_c, eager_w = layer(d, states, pad_mask=mask)
-    with lazy():
-        fused_c, fused_w = layer(d, states, pad_mask=mask)
+    eager_c, eager_w = _live_prefix_attention_chain(layer, d, states, mask)
+    fused_c, fused_w = layer(d, states, pad_mask=mask)
     assert eager_c.requires_grad and fused_c.requires_grad
     assert np.array_equal(eager_c.data, fused_c.data)
     assert np.array_equal(eager_w.data, fused_w.data)
@@ -180,9 +192,13 @@ def test_copy_distribution_routes_through_fused_kernel_identically(trailing_pad)
     rng = np.random.default_rng(5)
     d_k = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     c_k = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-    eager = model.copy_distribution(d_k, c_k, states, mask)
-    with lazy():
-        fused = model.copy_distribution(d_k, c_k, states, mask)
+    projected = model.copy_projection(concat([d_k, c_k], axis=1))
+    width = mask.shape[1]
+    live = live_width(mask, width)
+    scores = (expand_dims(projected, 1) * states[:, :live]).sum(axis=2) + model.copy_score_bias
+    scores = masked_fill(scores, mask[:, :live], -1e9)
+    eager = softmax(pad_masked_scores(scores, width), axis=1)
+    fused = model.copy_distribution(d_k, c_k, states, mask)
     assert eager.requires_grad and fused.requires_grad
     assert np.array_equal(eager.data, fused.data)
 
@@ -201,12 +217,12 @@ def test_fused_kernels_are_single_tape_nodes_under_grad():
 
 
 def test_anomaly_mode_sees_fused_kernels():
-    """detect_anomaly needs tape nodes for provenance: inside lazy() a fused
-    kernel is one tape node, which on_op sees and blames."""
+    """detect_anomaly needs tape nodes for provenance: a fused kernel is
+    one tape node, which on_op sees and blames."""
     from repro.tensor import NumericalAnomaly, detect_anomaly
 
     d, states, weight, mask = _attention_inputs(2, 4, 3, 3, seed=5)
     d.data[0, 0] = np.nan
-    with lazy(), pytest.raises(NumericalAnomaly):
+    with pytest.raises(NumericalAnomaly):
         with detect_anomaly(emit_telemetry=False):
             fused_attention(d, states, weight, pad_mask=mask)

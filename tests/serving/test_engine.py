@@ -7,8 +7,6 @@ decoded alone. Everything else — deadline retirement, per-slot NaN
 isolation, frontier dumps, shedding — is the fault story around that.
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 
@@ -28,8 +26,6 @@ from repro.serving import (
     ManualClock,
     pad_batch,
 )
-
-from repro.tensor.fusion import lazy
 
 import conftest
 from conftest import build_tiny_model, request_texts
@@ -65,14 +61,6 @@ def solo_decode(model, encoded, beam_size, max_length, width=PAD_TO):
         model, batch, beam_size=beam_size, max_length=max_length,
         telemetry=Telemetry([]),
     )[0]
-
-
-@pytest.fixture(params=[False, True], ids=["fusion_off", "fusion_on"])
-def fusion_scope(request):
-    """Serve inside a ``lazy()`` scope or not. ``train --fusion`` holds one
-    open over the whole command; without gradients it must move no byte."""
-    with lazy() if request.param else contextlib.nullcontext():
-        yield request.param
 
 
 # ----------------------------------------------------------------------
@@ -127,13 +115,13 @@ def _assert_frontier_matches_solo_decode(requests):
         assert got.log_prob == best.log_prob  # byte-identical, not approximate
 
 
-def test_mixed_frontier_matches_solo_decode_byte_for_byte(fusion_scope):
+def test_mixed_frontier_matches_solo_decode_byte_for_byte():
     """Requests of different lengths and beam widths share the frontier;
     each must decode exactly as it would alone at the same padded width."""
     _assert_frontier_matches_solo_decode(_mixed_fleet())
 
 
-def test_live_width_shrinking_frontier_matches_solo_decode_byte_for_byte(fusion_scope):
+def test_live_width_shrinking_frontier_matches_solo_decode_byte_for_byte():
     """The frontier's live source prefix shrinks mid-request when a long
     source retires first; the short request still decodes as it would alone."""
     _assert_frontier_matches_solo_decode(_long_source_retires_first_fleet())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, check_gradients, no_grad
+from repro.tensor import Tensor, check_gradients, is_grad_enabled, no_grad
 
 
 def test_add_forward_and_backward():
@@ -241,3 +241,34 @@ def test_zero_grad_clears():
 
 def test_repr_contains_shape():
     assert "shape=(2,)" in repr(Tensor([1.0, 2.0]))
+
+
+def test_no_grad_as_decorator():
+    @no_grad()
+    def compute(x):
+        assert not is_grad_enabled()
+        return x * 2.0
+
+    x = Tensor(np.ones(3), requires_grad=True)
+    out = compute(x)
+    assert is_grad_enabled()
+    assert not out.requires_grad
+
+
+def test_no_grad_nested_and_exception_safe():
+    assert is_grad_enabled()
+    with pytest.raises(ValueError):
+        with no_grad():
+            with no_grad():
+                raise ValueError("inner")
+    assert is_grad_enabled()
+
+
+def test_no_grad_single_instance_reentrant():
+    guard = no_grad()
+    with guard:
+        assert not is_grad_enabled()
+        with guard:  # reusing one instance must still restore correctly
+            assert not is_grad_enabled()
+        assert not is_grad_enabled()
+    assert is_grad_enabled()

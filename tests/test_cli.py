@@ -1,14 +1,10 @@
 """End-to-end tests for the ``acnn`` CLI (stats/train/evaluate/generate)."""
 
-import importlib
 import json
-import os
 
 import pytest
 
-import repro.nn.functional as functional
 from repro.cli import build_parser, main
-from repro.training import Trainer
 
 
 def test_stats_synthetic(capsys):
@@ -164,7 +160,6 @@ def test_serve_parser_defaults():
     assert args.max_rows == 12
     assert args.admit_per_step == 4
     assert args.cache_size == 128
-    assert not hasattr(args, "fusion")  # decoding never fuses
 
 
 def test_train_with_coverage_flag(tmp_path):
@@ -358,82 +353,3 @@ def test_serve_with_pool_workers(trained_bundle, tmp_path, capsys):
     assert report["served"] == 3
     assert report["finished"] == report["submitted"] == 3
     assert report["workers"].keys() == {"0", "1"}
-
-
-# ----------------------------------------------------------------------
-# train --fusion: the one fusion option
-# ----------------------------------------------------------------------
-TINY_TRAIN = [
-    "train",
-    "--train-size", "40",
-    "--epochs", "1",
-    "--hidden-size", "8",
-    "--embedding-dim", "8",
-    "--num-layers", "1",
-    "--dropout", "0.0",
-    "--batch-size", "16",
-]
-
-
-def _record_fused_kernel_pids(monkeypatch, path):
-    """Wrap both fused kernels so every call appends its process id to
-    ``path``; forked workers inherit the wrappers."""
-    acnn_module = importlib.import_module("repro.models.acnn")
-
-    def recorded(kernel):
-        def wrapper(*args, **kwargs):
-            with open(path, "a") as handle:
-                handle.write(f"{os.getpid()}\n")
-            return kernel(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(functional, "fused_attention", recorded(functional.fused_attention))
-    monkeypatch.setattr(
-        acnn_module, "fused_pointer_probs", recorded(acnn_module.fused_pointer_probs)
-    )
-
-
-def _fused_kernel_pids(path):
-    return set(path.read_text().split()) if path.exists() else set()
-
-
-@pytest.mark.parametrize("command", ["evaluate", "generate", "serve"])
-def test_fusion_flag_is_train_only(command, capsys):
-    with pytest.raises(SystemExit):
-        build_parser().parse_args([command, "--bundle", "x", "--fusion"])
-    assert "unrecognized arguments: --fusion" in capsys.readouterr().err
-    assert build_parser().parse_args(["train", "--out", "x", "--fusion"]).fusion is True
-
-
-def test_train_fusion_runs_fused_kernels_with_the_plain_first_loss(monkeypatch, tmp_path):
-    pid_log = tmp_path / "fused_pids.txt"
-    _record_fused_kernel_pids(monkeypatch, pid_log)
-    losses = []
-    train_batch = Trainer.train_batch
-
-    def recording_train_batch(self, batch):
-        result = train_batch(self, batch)
-        losses.append(result[0])
-        return result
-
-    monkeypatch.setattr(Trainer, "train_batch", recording_train_batch)
-
-    assert main([*TINY_TRAIN, "--out", str(tmp_path / "plain")]) == 0
-    plain_first = losses[0]
-    assert not pid_log.exists()
-
-    losses.clear()
-    assert main([*TINY_TRAIN, "--fusion", "--out", str(tmp_path / "fused")]) == 0
-    assert _fused_kernel_pids(pid_log) == {str(os.getpid())}
-    assert losses[0] == plain_first  # fused forwards are byte-identical
-
-
-def test_train_fusion_reaches_forked_elastic_workers(monkeypatch, tmp_path):
-    """Workers fork inside the lazy() scope of ``train --fusion`` and run
-    the fused kernels themselves."""
-    pid_log = tmp_path / "fused_pids.txt"
-    _record_fused_kernel_pids(monkeypatch, pid_log)
-    code = main([*TINY_TRAIN, "--workers", "2", "--fusion", "--out", str(tmp_path / "run")])
-    assert code == 0
-    assert _fused_kernel_pids(pid_log) - {str(os.getpid())}

@@ -1,7 +1,8 @@
-"""Tests for overflow-skip training: quarantine, escalation, loss scaling."""
+"""Tests for overflow-skip training: quarantine, escalation, resume."""
 
 import numpy as np
 import pytest
+from faults import SimulatedCrash, crash_on_nth_train_batch
 
 from repro.data import BatchIterator, QGDataset, QGExample, Vocabulary
 from repro.models import ModelConfig, build_model
@@ -9,13 +10,12 @@ from repro.observability import MemorySink, Telemetry
 from repro.optim import NonFiniteGradError
 from repro.training import (
     BatchQuarantined,
-    DynamicLossScaler,
     OverflowPolicy,
     Trainer,
     TrainerConfig,
     TrainingDiverged,
 )
-from repro.training.resilience import ResilienceConfig
+from repro.training.resilience import ResilienceConfig, SnapshotStore
 
 
 def _setup(num_examples: int = 1):
@@ -51,55 +51,6 @@ class LossPoisoner:
         if self.calls in self._poison:
             return loss * float("nan")
         return loss
-
-
-# ----------------------------------------------------------------------
-# DynamicLossScaler
-# ----------------------------------------------------------------------
-def test_scaler_defaults_are_inert():
-    scaler = DynamicLossScaler()
-    assert scaler.scale == 1.0
-    assert not scaler.active
-    scaler.on_good_step()
-    assert scaler.scale == 1.0  # growth disabled by default
-
-
-def test_scaler_backs_off_and_regrows():
-    scaler = DynamicLossScaler(init_scale=8.0, growth_interval=2)
-    assert scaler.on_overflow() == 4.0
-    assert scaler.consecutive_overflows == 1
-    scaler.on_good_step()
-    assert scaler.consecutive_overflows == 0
-    assert scaler.scale == 4.0
-    scaler.on_good_step()
-    assert scaler.scale == 8.0  # grew after growth_interval good steps
-
-
-def test_scaler_respects_bounds():
-    scaler = DynamicLossScaler(init_scale=2.0**-14)
-    assert scaler.on_overflow() == scaler.min_scale
-    scaler = DynamicLossScaler(init_scale=2.0**16, growth_interval=1)
-    assert scaler.on_good_step() == scaler.max_scale
-
-
-def test_scaler_state_roundtrip():
-    scaler = DynamicLossScaler(init_scale=4.0, growth_interval=3)
-    scaler.on_overflow()
-    scaler.on_good_step()
-    restored = DynamicLossScaler()
-    restored.load_state_dict(scaler.state_dict())
-    assert restored.scale == scaler.scale
-    assert restored.good_steps == scaler.good_steps
-    assert restored.overflows == scaler.overflows
-
-
-def test_scaler_validates_arguments():
-    with pytest.raises(ValueError):
-        DynamicLossScaler(init_scale=0.0)
-    with pytest.raises(ValueError):
-        DynamicLossScaler(backoff_factor=1.5)
-    with pytest.raises(ValueError):
-        DynamicLossScaler(growth_factor=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -252,39 +203,37 @@ def test_rollback_policy_still_recovers(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Loss scaling
+# Snapshots from before the loss scaler was removed
 # ----------------------------------------------------------------------
-def test_power_of_two_loss_scale_is_bit_identical():
-    model_a, iterator_a = _setup(num_examples=2)
-    model_b, iterator_b = _setup(num_examples=2)
-    Trainer(
-        model_a, iterator_a, None, TrainerConfig(epochs=1, overflow_policy="skip")
-    ).train()
-    Trainer(
-        model_b,
-        iterator_b,
-        None,
-        TrainerConfig(epochs=1, overflow_policy="skip"),
-        loss_scaler=DynamicLossScaler(init_scale=4.0),
-    ).train()
-    for key, value in model_a.state_dict().items():
-        np.testing.assert_array_equal(value, model_b.state_dict()[key])
+def test_snapshot_with_a_loss_scaler_field_still_resumes(tmp_path):
+    """Snapshots written while the trainer kept a loss scaler carry a
+    ``loss_scaler`` field; a run resumes from one as from any other."""
+    config = TrainerConfig(epochs=2, overflow_policy="skip")
+    model_ref, iterator_ref = _setup(num_examples=3)
+    Trainer(model_ref, iterator_ref, None, config).train()
 
-
-def test_scaler_backs_off_on_quarantine():
-    model, iterator = _setup(num_examples=2)
-    scaler = DynamicLossScaler(init_scale=4.0)
-    trainer = Trainer(
-        model,
-        iterator,
-        None,
-        TrainerConfig(epochs=1, overflow_policy="skip"),
-        loss_scaler=scaler,
+    snapdir = tmp_path / "snaps"
+    model_v, iterator_v = _setup(num_examples=3)
+    victim = Trainer(
+        model_v, iterator_v, None, config,
+        resilience=ResilienceConfig(directory=snapdir, every_n_batches=1),
     )
-    model.loss = LossPoisoner(model, poison_calls={1})
-    trainer.train()
-    assert scaler.overflows == 1
-    assert scaler.scale == 2.0
+    with crash_on_nth_train_batch(victim, 5):
+        with pytest.raises(SimulatedCrash):
+            victim.train()
+    store = SnapshotStore(snapdir)
+    step = store.list_steps()[-1]
+    arrays, meta = store.load_step(step)
+    del meta["consecutive_overflows"]
+    meta["loss_scaler"] = {
+        "scale": 1.0, "good_steps": step, "overflows": 0, "consecutive_overflows": 0
+    }
+    store.save(step, arrays, meta)
+
+    model_s, iterator_s = _setup(num_examples=3)
+    Trainer(model_s, iterator_s, None, config).train(resume_from=snapdir)
+    for key, value in model_ref.state_dict().items():
+        np.testing.assert_array_equal(value, model_s.state_dict()[key])
 
 
 def test_batch_quarantined_is_typed():

@@ -200,6 +200,24 @@ def test_reseed_model_rngs_is_worker_independent():
         assert np.array_equal(draws_a[path], draws_b[path]), path
 
 
+def test_reseed_model_rngs_keys_each_stream_by_module_path():
+    """Removing one generator leaves every other stream's draws unchanged."""
+    from repro.training.resilience import _iter_module_generators
+
+    full, reduced = _tiny_model(), _tiny_model()
+    paths = sorted(path for path, _ in _iter_module_generators(reduced))
+    assert len(paths) > 2
+    removed = paths[0]  # sorts first, so every other stream's position moves
+    module_path, attr = removed.rsplit(".", 1)
+    delattr(dict(reduced.named_modules())[module_path], attr)
+    reseed_model_rngs(full, run_seed=5, epoch=2, microbatch=7)
+    reseed_model_rngs(reduced, run_seed=5, epoch=2, microbatch=7)
+    draws_full, draws_reduced = _drain_generators(full), _drain_generators(reduced)
+    assert draws_reduced.keys() == draws_full.keys() - {removed}
+    for path in draws_reduced:
+        assert np.array_equal(draws_reduced[path], draws_full[path]), path
+
+
 def test_reseed_model_rngs_distinct_per_microbatch_and_generator():
     model = _tiny_model()
     reseed_model_rngs(model, 5, 2, 7)
