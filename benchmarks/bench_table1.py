@@ -33,3 +33,4 @@ def test_table1(benchmark, bench_scale, results_dir):
         assert orderings["acnn_sent_beats_du_sent"]
         assert orderings["acnn_para_beats_du_para"]
         assert orderings["attention_beats_seq2seq"]
+        assert orderings["acnn_sent_beats_acnn_para"]

@@ -57,6 +57,8 @@ class Table1Result:
             "attention_beats_seq2seq": min(bleu4["Du-sent"], bleu4["Du-para"]) > bleu4["Seq2Seq"],
             "acnn_beats_all_baselines": min(bleu4["ACNN-sent"], bleu4["ACNN-para"])
             > max(bleu4["Seq2Seq"], bleu4["Du-sent"], bleu4["Du-para"]),
+            "acnn_sent_beats_acnn_para": bleu4["ACNN-sent"] > bleu4["ACNN-para"]
+            and rouge["ACNN-sent"] > rouge["ACNN-para"],
         }
 
 

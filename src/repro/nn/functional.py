@@ -15,11 +15,14 @@ sigmoid call over all ``4H`` pre-activations) and one gate backward
   teacher-forced decoder of the training loss). Its forward,
   :func:`lstm_cell_forward`, is also the cell of the array decode step
   (:meth:`repro.nn.lstm.LSTM.step_array`).
-- :func:`lstm_sequence` — one layer's whole recurrence over a sequence
-  whose input projections ``x @ W_ih^T + b`` were batched into one matmul
-  outside; output ``[outputs ; h_T ; c_T]`` along the time axis, with a
-  hand-written backpropagation through time (used by
-  :class:`repro.nn.lstm.LSTM`).
+- :func:`lstm_sequence` — one layer's whole recurrence over a sequence,
+  for one direction or for both directions of the bidirectional encoder
+  in lockstep (a leading direction axis, one stacked recurrent matmul per
+  step), whose input projections ``x @ W_ih^T + b`` were batched into one
+  matmul per direction outside; output ``[outputs ; h_T ; c_T]`` along
+  the time axis per direction, with a hand-written backpropagation
+  through time (used by :class:`repro.nn.lstm.LSTM` and
+  :class:`repro.nn.lstm.BidirectionalLSTM`).
 
 Gate layout in the fused weights is ``[input, forget, cell, output]``,
 matching :class:`repro.nn.lstm.LSTMCell`.
@@ -43,6 +46,8 @@ byte-identity and NaN-propagation contracts hold (and
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.nn.numerics import np_fast_sigmoid, np_stable_softmax
@@ -60,21 +65,22 @@ _GateCache = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _gates_forward(gates: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, _GateCache]:
-    """Apply the gate nonlinearities to ``(B, 4H)`` pre-activations.
+    """Apply the gate nonlinearities to ``(..., B, 4H)`` pre-activations.
 
-    Returns ``[h_new ; c_new]`` as one ``(B, 2H)`` array and what
+    Returns ``[h_new ; c_new]`` as one ``(..., B, 2H)`` array and what
     :func:`_gates_backward` needs. One sigmoid call covers all four gate
     blocks (the cell block's value is unused); the ops are elementwise, so
-    the bytes match separate calls on the ``i``/``f``/``o`` blocks.
+    the bytes match separate calls on the ``i``/``f``/``o`` blocks, and
+    on each direction of a stacked ``(D, B, 4H)`` input.
     """
-    hidden = c_prev.shape[1]
+    hidden = c_prev.shape[-1]
     sig = np_fast_sigmoid(gates)
-    g_gate = np.tanh(gates[:, 2 * hidden: 3 * hidden])
-    h_c = np.empty((gates.shape[0], 2 * hidden), dtype=gates.dtype)
-    c_new = h_c[:, hidden:]
-    np.add(sig[:, hidden: 2 * hidden] * c_prev, sig[:, :hidden] * g_gate, out=c_new)
+    g_gate = np.tanh(gates[..., 2 * hidden: 3 * hidden])
+    h_c = np.empty(gates.shape[:-1] + (2 * hidden,), dtype=gates.dtype)
+    c_new = h_c[..., hidden:]
+    np.add(sig[..., hidden: 2 * hidden] * c_prev, sig[..., :hidden] * g_gate, out=c_new)
     tanh_c_new = np.tanh(c_new)
-    np.multiply(sig[:, 3 * hidden:], tanh_c_new, out=h_c[:, :hidden])
+    np.multiply(sig[..., 3 * hidden:], tanh_c_new, out=h_c[..., :hidden])
     return h_c, (sig, g_gate, tanh_c_new, c_prev)
 
 
@@ -83,18 +89,18 @@ def _gates_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of one gate step: ``(d_gates, d_c_prev)``."""
     sig, g_gate, tanh_c_new, c_prev = cache
-    hidden = c_prev.shape[1]
-    i_gate = sig[:, :hidden]
-    f_gate = sig[:, hidden: 2 * hidden]
-    o_gate = sig[:, 3 * hidden:]
+    hidden = c_prev.shape[-1]
+    i_gate = sig[..., :hidden]
+    f_gate = sig[..., hidden: 2 * hidden]
+    o_gate = sig[..., 3 * hidden:]
     d_o = d_h * tanh_c_new * o_gate * (1.0 - o_gate)
     d_c = d_c_new + d_h * o_gate * (1.0 - tanh_c_new * tanh_c_new)
 
     d_gates = np.empty_like(sig)
-    d_gates[:, :hidden] = d_c * g_gate * i_gate * (1.0 - i_gate)
-    d_gates[:, hidden: 2 * hidden] = d_c * c_prev * f_gate * (1.0 - f_gate)
-    d_gates[:, 2 * hidden: 3 * hidden] = d_c * i_gate * (1.0 - g_gate * g_gate)
-    d_gates[:, 3 * hidden:] = d_o
+    d_gates[..., :hidden] = d_c * g_gate * i_gate * (1.0 - i_gate)
+    d_gates[..., hidden: 2 * hidden] = d_c * c_prev * f_gate * (1.0 - f_gate)
+    d_gates[..., 2 * hidden: 3 * hidden] = d_c * i_gate * (1.0 - g_gate * g_gate)
+    d_gates[..., 3 * hidden:] = d_o
     return d_gates, d_c * f_gate
 
 
@@ -161,96 +167,142 @@ def lstm_cell_step(
 
 
 def lstm_sequence(
-    projected: Tensor,
-    h0: Tensor,
-    c0: Tensor,
-    weight_hh: Tensor,
+    projected: Sequence[Tensor],
+    h0: Sequence[Tensor],
+    c0: Sequence[Tensor],
+    weight_hh: Sequence[Tensor],
     pad_mask: np.ndarray,
-    reverse: bool = False,
+    reverse: Sequence[bool],
 ) -> Tensor:
-    """One LSTM layer's recurrence over a sequence as a single tape node.
+    """One LSTM layer's recurrence, for ``D`` directions in lockstep, as a
+    single tape node.
 
     Parameters
     ----------
     projected:
-        ``(B, T, 4H)`` input projections ``x @ W_ih^T + b`` for every step.
+        One ``(B, T, 4H)`` tensor per direction: the input projections
+        ``x @ W_ih^T + b`` for every step, in time order.
     h0, c0:
-        ``(B, H)`` initial hidden and cell state.
+        One ``(B, H)`` initial hidden and cell state per direction.
     weight_hh:
-        ``(4H, H)`` recurrent weights.
+        One ``(4H, H)`` recurrent weight per direction.
     pad_mask:
         Boolean ``(B, T)``; True marks padding. On a padded step a row
         carries its state through unchanged (and emits it as output).
     reverse:
-        Run the steps from last to first; outputs stay in time order.
+        One flag per direction: run its steps from last to first. Outputs
+        stay in time order.
 
     Returns
     -------
     packed:
-        ``(B, T + 2, H)``: the per-step hidden states, then the final
-        ``h`` and the final ``c``. Callers split it with three basic slices.
+        ``(D, B, T + 2, H)``: per direction, the per-step hidden states,
+        then the final ``h`` and the final ``c``. Callers split it with
+        basic slices.
 
-    Each step is ``P[:, t] + h @ W_hh^T`` through :func:`_gates_forward`,
-    then a ``np.where`` carry on padded rows. The backward runs the
-    recurrence in reverse, accumulating ``dW_hh`` one step at a time, last
-    step first, so gradients round exactly as a chain of per-step
-    :func:`lstm_cell_step` nodes would. Per-step state is kept only when
-    the node is recorded, so encodes under ``no_grad`` retain nothing.
+    The projections are copied into one ``(D, B, T, 4H)`` step buffer, a
+    reversed direction's time-reversed, so all directions share each step;
+    a reversed direction's outputs are flipped back once at the end. A
+    step is one stacked ``(D, B, H) @ (D, H, 4H)`` matmul (numpy makes one
+    BLAS call per direction, on that direction's strides), one add of the
+    step's projections, one :func:`_gates_forward` over ``(D, B, 4H)`` and,
+    when any direction has a padded row, one ``np.where`` carry with a
+    ``(D, B, 1)`` mask.
+
+    The backward runs the recurrence in reverse with one stacked
+    ``d_gates @ W_hh``, accumulating each direction's ``dW_hh`` one step at
+    a time, last step first, so gradients round exactly as a chain of
+    per-step :func:`lstm_cell_step` nodes would. Each ``dW_hh`` operand
+    ``h_prev`` keeps the layout its direction's own recurrence gives it (a
+    strided view after a live step, contiguous after a carried one): at
+    ``H = 1`` BLAS gets that ``(B, 1)`` operand as a vector, and a stride
+    of 2 rounds differently from a stride of 1.
+
+    One buffer holds a step's projections, then (when the node is
+    recorded) its gate sigmoids, then its gate gradients, which are the
+    projections' gradients: a training step allocates nothing else of its
+    size. Per-step state is kept only when the node is recorded.
     """
-    proj = projected.data
-    batch, time_steps = proj.shape[0], proj.shape[1]
-    w_hh = weight_hh.data
-    parents = (projected, h0, c0, weight_hh)
+    n_dir = len(projected)
+    batch, time_steps = pad_mask.shape
+    hidden = h0[0].shape[1]
+    steps = np.empty((n_dir, batch, time_steps, 4 * hidden), dtype=projected[0].data.dtype)
+    for buffer, p, rev in zip(steps, projected, reverse):
+        buffer[...] = p.data[:, ::-1] if rev else p.data
+    masks = np.stack([pad_mask[:, ::-1] if rev else pad_mask for rev in reverse])
+    w_hh = np.stack([w.data for w in weight_hh])
+    w_hh_t = w_hh.transpose(0, 2, 1)
+    parents = (*projected, *h0, *c0, *weight_hh)
     record = is_grad_enabled() and any(p.requires_grad for p in parents)
-    padded = pad_mask.any(axis=0)
-    order = range(time_steps - 1, -1, -1) if reverse else range(time_steps)
+    padded = masks.any(axis=1)  # (D, T): some row of direction d carries at t
+    carry = padded.any(axis=0)
 
-    h, c = h0.data, c0.data
-    hidden = h.shape[1]
-    packed = np.empty((batch, time_steps + 2, hidden), dtype=proj.dtype)
-    saved: list[tuple[np.ndarray, _GateCache]] = []
-    for t in order:
-        h_c, cache = _gates_forward(proj[:, t] + h @ w_hh.T, c)
-        h_new, c_new = h_c[:, :hidden], h_c[:, hidden:]
-        if record:
-            saved.append((h, cache))
-        if padded[t]:
-            pad_t = pad_mask[:, t: t + 1]
+    h = np.stack([state.data for state in h0])
+    c = np.stack([state.data for state in c0])
+    packed = np.empty((n_dir, batch, time_steps + 2, hidden), dtype=h.dtype)
+    h_prev = [state.data for state in h0]  # each direction's dW_hh operand
+    saved: list[tuple[list[np.ndarray], _GateCache]] = []
+    for t in range(time_steps):
+        gates = np.matmul(h, w_hh_t)
+        gates += steps[:, :, t]
+        h_c, cache = _gates_forward(gates, c)
+        h_new, c_new = h_c[..., :hidden], h_c[..., hidden:]
+        if carry[t]:
+            pad_t = masks[:, :, t, None]
             h_new = np.where(pad_t, h, h_new)
             c_new = np.where(pad_t, c, c_new)
-        packed[:, t] = h_new
+        if record:
+            # The step's sigmoids go where its projections were, so the
+            # buffer holds them instead of one allocation per step.
+            sig = steps[:, :, t]
+            sig[...] = cache[0]
+            saved.append((h_prev, (sig,) + cache[1:]))
+            h_prev = [h_new[d] if padded[d, t] else h_c[d, :, :hidden] for d in range(n_dir)]
+        packed[:, :, t] = h_new
         h, c = h_new, c_new
-    packed[:, time_steps] = h
-    packed[:, time_steps + 1] = c
+    packed[:, :, time_steps] = h
+    packed[:, :, time_steps + 1] = c
+    for outputs, rev in zip(packed, reverse):
+        if rev:
+            outputs[:, :time_steps] = outputs[:, :time_steps][:, ::-1]
 
     def backward(d_packed: np.ndarray) -> None:
-        d_outputs = d_packed[:, :time_steps]
-        d_h, d_c = d_packed[:, time_steps], d_packed[:, time_steps + 1]
-        d_proj = np.empty_like(proj) if projected.requires_grad else None
-        for t, (h_prev, cache) in zip(reversed(order), reversed(saved)):
-            d_h = d_h + d_outputs[:, t]
-            carry = padded[t]
-            if carry:
+        d_outputs = [
+            d_packed[d, :, :time_steps][:, ::-1] if rev else d_packed[d, :, :time_steps]
+            for d, rev in enumerate(reverse)
+        ]
+        # d_h takes each step's output gradient in place: own it.
+        d_h, d_c = d_packed[:, :, time_steps].copy(), d_packed[:, :, time_steps + 1]
+        for t in range(time_steps - 1, -1, -1):
+            operands, cache = saved.pop()  # frees each step's state as it goes
+            for d_h_d, d_out in zip(d_h, d_outputs):
+                d_h_d += d_out[:, t]
+            if carry[t]:
                 # Padded rows route the gradient to the carried state, live
                 # rows to the cell, by mask products as ``where`` does.
-                pad_t = pad_mask[:, t: t + 1]
+                pad_t = masks[:, :, t, None]
                 d_h_carry, d_c_carry = d_h * pad_t, d_c * pad_t
                 d_h, d_c = d_h * ~pad_t, d_c * ~pad_t
             d_gates, d_c = _gates_backward(d_h, d_c, cache)
-            if d_proj is not None:
-                d_proj[:, t] = d_gates
-            if weight_hh.requires_grad:
-                weight_hh._accumulate_grad(d_gates.T @ h_prev)
-            d_h = d_gates @ w_hh
-            if carry:
+            steps[:, :, t] = d_gates
+            for weight, d_g, h_p in zip(weight_hh, d_gates, operands):
+                if weight.requires_grad:
+                    weight._accumulate_grad(d_g.T @ h_p)
+            d_h = np.matmul(d_gates, w_hh)
+            if carry[t]:
                 d_h = d_h + d_h_carry
                 d_c = d_c + d_c_carry
-        if d_proj is not None:
-            projected._accumulate_grad(d_proj)
-        if h0.requires_grad:
-            h0._accumulate_grad(d_h)
-        if c0.requires_grad:
-            c0._accumulate_grad(d_c)
+        for d_proj, p, rev in zip(steps, projected, reverse):
+            if not p.requires_grad:
+                continue
+            if rev:  # back to time order in place, two steps at a time
+                for t in range(time_steps // 2):
+                    d_proj[:, [t, -1 - t]] = d_proj[:, [-1 - t, t]]
+            p._accumulate_grad(d_proj)
+        for state, d_state in zip(h0, d_h):
+            state._accumulate_grad(d_state)
+        for state, d_state in zip(c0, d_c):
+            state._accumulate_grad(d_state)
 
     return Tensor._from_op(packed, parents, backward)
 

@@ -6,11 +6,15 @@ bidirectional LSTM whose per-step hidden states are concatenated,
 driven one step at a time.
 
 Over a whole sequence, each layer batches its input projections into one
-matmul and runs the recurrence inside one tape node,
+matmul per direction and runs the recurrence inside one tape node,
 :func:`repro.nn.functional.lstm_sequence`, so the time loop builds no
-per-step graph; the training loss's single decoder steps use the fused
-cell :func:`repro.nn.functional.lstm_cell_step`, and inference decode
-steps run the same cell forward on plain arrays (:meth:`LSTM.step_array`).
+per-step graph. The bidirectional encoder's two directions share that
+node: they step in lockstep, the backward one on time-reversed inputs,
+so one Python time loop serves both, and :class:`LSTM` and
+:class:`BidirectionalLSTM` run the same layer loop. The training loss's
+single decoder steps use the fused cell
+:func:`repro.nn.functional.lstm_cell_step`, and inference decode steps
+run the same cell forward on plain arrays (:meth:`LSTM.step_array`).
 
 Padding is handled with a boolean pad mask: at padded positions the recurrent
 state is carried through unchanged, so variable-length batches give the same
@@ -30,7 +34,7 @@ from repro.nn.dropout import Dropout
 from repro.nn.functional import lstm_cell_forward, lstm_cell_step, lstm_sequence
 from repro.nn.module import Module, Parameter
 from repro.tensor.core import Tensor
-from repro.tensor.ops import concat, masked_fill, sigmoid, tanh
+from repro.tensor.ops import concat, masked_fill
 
 __all__ = ["LSTMCell", "LSTM", "BidirectionalLSTM"]
 
@@ -61,27 +65,11 @@ class LSTMCell(Module):
         return Tensor(zeros), Tensor(zeros.copy())
 
     def forward(self, x: Tensor, state: State) -> State:
-        """Advance one step; returns the new ``(hidden, cell)`` pair.
-
-        Uses the fused single-op implementation; :meth:`forward_reference`
-        keeps the transparent elementary-op formulation that the test suite
-        checks the fused version against.
-        """
+        """Advance one step as one fused tape node
+        (:func:`~repro.nn.functional.lstm_cell_step`); returns the new
+        ``(hidden, cell)`` pair."""
         h_prev, c_prev = state
         return lstm_cell_step(x, h_prev, c_prev, self.weight_ih, self.weight_hh, self.bias)
-
-    def forward_reference(self, x: Tensor, state: State) -> State:
-        """The cell expressed in elementary tape ops (for verification)."""
-        h_prev, c_prev = state
-        gates = x @ self.weight_ih.T + h_prev @ self.weight_hh.T + self.bias
-        hidden = self.hidden_size
-        i_gate = sigmoid(gates[:, :hidden])
-        f_gate = sigmoid(gates[:, hidden: 2 * hidden])
-        g_gate = tanh(gates[:, 2 * hidden: 3 * hidden])
-        o_gate = sigmoid(gates[:, 3 * hidden:])
-        c_new = f_gate * c_prev + i_gate * g_gate
-        h_new = o_gate * tanh(c_new)
-        return h_new, c_new
 
 
 class LSTM(Module):
@@ -190,52 +178,79 @@ class LSTM(Module):
             ``outputs`` is ``(B, T, hidden_size)`` from the top layer;
             ``final_states`` the per-layer state after the last step.
         """
-        batch_size, time_steps = inputs.shape[0], inputs.shape[1]
-        if pad_mask is None:
-            pad_mask = np.zeros((batch_size, time_steps), dtype=bool)
-        # Trailing steps that pad every row carry the state and emit zeros,
-        # so skip them outright. That makes the result byte-for-byte
-        # independent of how far the batch was padded: BLAS rounds a row of
-        # the input projection differently depending on how many rows the
-        # matmul has.
-        live = np.flatnonzero(~pad_mask.all(axis=0))
-        steps = int(live[-1]) + 1 if live.size else time_steps
-        if steps < time_steps:
-            outputs, final_states = self.forward(
-                inputs[:, :steps], pad_mask[:, :steps], initial_states, reverse
-            )
-            tail = np.zeros(
-                (batch_size, time_steps - steps, outputs.shape[2]), dtype=outputs.data.dtype
-            )
-            return concat([outputs, Tensor(tail)], axis=1), final_states
-        states = list(initial_states) if initial_states is not None else self.initial_states(batch_size)
+        outputs, final_states = _run_directions(
+            [self], inputs, pad_mask, [initial_states], [reverse]
+        )
+        return outputs[0], final_states[0]
 
-        layer_input = inputs
-        final_states: list[State] = []
-        for layer, cell in enumerate(self.cells):
-            # One batched matmul for every timestep's input projection; the
-            # recurrence then only multiplies by W_hh per step, inside one
-            # tape node for the whole layer.
-            feature = layer_input.shape[2]
-            projected = (
-                layer_input.reshape(batch_size * time_steps, feature) @ cell.weight_ih.T
-                + cell.bias
+
+def _run_directions(
+    stacks: Sequence[LSTM],
+    inputs: Tensor,
+    pad_mask: np.ndarray | None,
+    initial_states: Sequence[Sequence[State] | None],
+    reverse: Sequence[bool],
+) -> tuple[list[Tensor], list[list[State]]]:
+    """:meth:`LSTM.forward` for ``D`` stacks of one shape over one input,
+    each layer's ``D`` recurrences in one lockstep
+    :func:`~repro.nn.functional.lstm_sequence` node. Each stack keeps its
+    own layer inputs, dropout and ``initial_states`` entry (None: zeros)."""
+    batch_size, time_steps = inputs.shape[0], inputs.shape[1]
+    if pad_mask is None:
+        pad_mask = np.zeros((batch_size, time_steps), dtype=bool)
+    # Trailing steps that pad every row carry the state and emit zeros,
+    # so skip them outright. That makes the result byte-for-byte
+    # independent of how far the batch was padded: BLAS rounds a row of
+    # the input projection differently depending on how many rows the
+    # matmul has.
+    live = np.flatnonzero(~pad_mask.all(axis=0))
+    steps = int(live[-1]) + 1 if live.size else time_steps
+    if steps < time_steps:
+        outputs, final_states = _run_directions(
+            stacks, inputs[:, :steps], pad_mask[:, :steps], initial_states, reverse
+        )
+        tail = Tensor(np.zeros(
+            (batch_size, time_steps - steps, outputs[0].shape[2]), dtype=outputs[0].data.dtype
+        ))
+        return [concat([out, tail], axis=1) for out in outputs], final_states
+    states = [
+        list(given) if given is not None else lstm.initial_states(batch_size)
+        for lstm, given in zip(stacks, initial_states)
+    ]
+
+    layer_inputs = [inputs] * len(stacks)
+    final_states: list[list[State]] = [[] for _ in stacks]
+    for layer in range(stacks[0].num_layers):
+        cells = [lstm.cells[layer] for lstm in stacks]
+        # One 2-D matmul per direction for every timestep's input
+        # projection (one ``(F, 8H)`` matmul would round differently); the
+        # recurrence then only multiplies by W_hh per step.
+        projected = [
+            (
+                x.reshape(batch_size * time_steps, x.shape[2]) @ cell.weight_ih.T + cell.bias
             ).reshape(batch_size, time_steps, 4 * cell.hidden_size)
-
-            h, c = states[layer]
-            packed = lstm_sequence(projected, h, c, cell.weight_hh, pad_mask, reverse)
-            final_states.append((packed[:, time_steps], packed[:, time_steps + 1]))
-
+            for x, cell in zip(layer_inputs, cells)
+        ]
+        packed = lstm_sequence(
+            projected,
+            [state[layer][0] for state in states],
+            [state[layer][1] for state in states],
+            [cell.weight_hh for cell in cells],
+            pad_mask,
+            reverse,
+        )
+        for d, lstm in enumerate(stacks):
+            final_states[d].append((packed[d, :, time_steps], packed[d, :, time_steps + 1]))
             # Padded positions emit zeros. The fill also copies the strided
             # slice into a contiguous array for the next layer's input
-            # projection: numpy hands BLAS a strided ``(B, 1)`` operand as a
-            # strided vector, whose rounding depends on the stride.
-            sequence = masked_fill(packed[:, :time_steps], pad_mask[:, :, None], 0.0)
-            if self.inter_layer_dropout is not None and layer < self.num_layers - 1:
-                sequence = self.inter_layer_dropout(sequence)
-            layer_input = sequence
+            # projection: numpy hands BLAS a strided ``(B, 1)`` operand as
+            # a strided vector, whose rounding depends on the stride.
+            sequence = masked_fill(packed[d, :, :time_steps], pad_mask[:, :, None], 0.0)
+            if lstm.inter_layer_dropout is not None and layer < lstm.num_layers - 1:
+                sequence = lstm.inter_layer_dropout(sequence)
+            layer_inputs[d] = sequence
 
-        return layer_input, final_states
+    return layer_inputs, final_states
 
 
 class BidirectionalLSTM(Module):
@@ -279,7 +294,8 @@ class BidirectionalLSTM(Module):
             ``outputs`` is ``(B, T, 2 * hidden_size)``; the state lists hold
             each direction's final per-layer ``(h, c)``.
         """
-        fwd_out, fwd_states = self.forward_lstm(inputs, pad_mask=pad_mask)
-        bwd_out, bwd_states = self.backward_lstm(inputs, pad_mask=pad_mask, reverse=True)
+        (fwd_out, bwd_out), (fwd_states, bwd_states) = _run_directions(
+            [self.forward_lstm, self.backward_lstm], inputs, pad_mask, [None, None], [False, True]
+        )
         outputs = concat([fwd_out, bwd_out], axis=2)
         return outputs, fwd_states, bwd_states

@@ -62,6 +62,21 @@ def test_table1_detects_baseline_win():
     assert not orderings["acnn_beats_all_baselines"]
 
 
+def test_table1_detects_paragraph_row_win():
+    result = Table1Result(scale=SMOKE)
+    for label, b4, rouge in [
+        ("Seq2Seq", 4.0, 30.0),
+        ("Du-sent", 12.0, 40.0),
+        ("Du-para", 11.0, 39.0),
+        ("ACNN-sent", 14.0, 41.0),
+        ("ACNN-para", 13.0, 41.5),  # paragraph row wins on ROUGE-L only
+    ]:
+        result.runs[label] = _fake_run(label, _scores(40, 25, 17, b4, rouge))
+    orderings = result.ordering_holds()
+    assert not orderings["acnn_sent_beats_acnn_para"]
+    assert orderings["acnn_beats_all_baselines"]
+
+
 def test_table2_ordering_logic():
     result = Table2Result(scale=SMOKE)
     result.runs["ACNN-para-150"] = _fake_run("ACNN-para-150", _scores(43, 25, 17, 12.0, 39.0))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.nn import LSTM, BidirectionalLSTM, LSTMCell
 from repro.nn.functional import lstm_cell_step
-from repro.tensor import Tensor, check_gradients
+from repro.tensor import Tensor, check_gradients, no_grad
 from repro.tensor.ops import concat, masked_fill, stack, where
 
 
@@ -388,6 +388,71 @@ def test_bilstm_matches_per_step_tape_byte_for_byte(shape, padded, p, seed):
 
     kernel, reference = _run_case(build, call, seed)
     _assert_identical(kernel, reference)
+
+
+def _bilstm_paths(module, x, pad_mask, path):
+    """The lockstep encoder, or each direction through ``_reference_lstm``."""
+    if path == "kernel":
+        outputs, fwd, bwd = module(x, pad_mask=pad_mask)
+    else:
+        fwd_out, fwd = _reference_lstm(module.forward_lstm, x, pad_mask)
+        bwd_out, bwd = _reference_lstm(module.backward_lstm, x, pad_mask, reverse=True)
+        outputs = concat([fwd_out, bwd_out], axis=2)
+    return outputs, fwd + bwd
+
+
+# (batch, time, features, hidden, layers, ragged): the ACNN encoder at
+# DEFAULT dims (embedding 32 in, hidden 48, 2 layers) as serving encodes
+# it and as a training batch runs it, then the (B, 1) layer input and the
+# H = 1 shape whose ``dW_hh`` operand numpy hands to BLAS as a vector.
+DEFAULT_DIM_CASES = [
+    (1, 12, 32, 48, 2, False),
+    (1, 100, 32, 48, 2, False),
+    (32, 100, 32, 48, 2, True),
+    (2, 1, 1, 1, 2, False),
+    (7, 10, 4, 1, 2, True),
+]
+
+
+def _case_id(case):
+    return "x".join(map(str, case[:5])) + ("-ragged" if case[5] else "")
+
+
+@pytest.mark.parametrize("case", DEFAULT_DIM_CASES, ids=_case_id)
+@pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "no_grad"])
+def test_bilstm_matches_per_step_tape_at_default_dims(case, recorded):
+    batch, time, features, hidden, layers, ragged = case
+    seed = 415
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((batch, time, features))
+    pad_mask = _ragged_mask(rng, batch, time) if ragged else None
+
+    def build():
+        return BidirectionalLSTM(
+            features, hidden, layers, _rng(seed), dropout=0.3, dropout_seed=seed
+        )
+
+    if recorded:
+        def call(module, path):
+            x = Tensor(data, requires_grad=True)
+            outputs, states = _bilstm_paths(module, x, pad_mask, path)
+            return outputs, states, [x]
+
+        kernel, reference = _run_case(build, call, seed)
+        _assert_identical(kernel, reference)
+        return
+
+    results = []
+    for path in ("kernel", "reference"):
+        module = build()
+        module.eval()
+        with no_grad():
+            results.append(_bilstm_paths(module, Tensor(data), pad_mask, path))
+    (out_k, states_k), (out_r, states_r) = results
+    assert out_k.data.tobytes() == out_r.data.tobytes()
+    for (h_k, c_k), (h_r, c_r) in zip(states_k, states_r):
+        assert h_k.data.tobytes() == h_r.data.tobytes()
+        assert c_k.data.tobytes() == c_r.data.tobytes()
 
 
 # ----------------------------------------------------------------------
